@@ -22,9 +22,15 @@ EXIT_USAGE = 2
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            # strict UTF-8 whatever the locale, as for input files
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise TaggingError(f"{name} is not valid UTF-8: {exc}") from None
 
 
 def _load_lexicon(arg: str | None, seed_only: bool) -> lexmod.Lexicon:

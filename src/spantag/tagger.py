@@ -114,7 +114,7 @@ class HmmModel:
                     f"transition row for {context!r} does not cover the registry plus {END}"
                 )
             total = math.fsum(row.values())
-            if abs(total - 1.0) > _NORM_TOL:
+            if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
                 raise ModelFormatError(
                     f"transition row for {context!r} sums to {total!r}"
                 )
@@ -127,7 +127,7 @@ class HmmModel:
                     f"emission row for {tag_code!r} does not cover the vocabulary plus {UNKNOWN}"
                 )
             total = math.fsum(row.values())
-            if abs(total - 1.0) > _NORM_TOL:
+            if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
                 raise ModelFormatError(
                     f"emission row for {tag_code!r} sums to {total!r}"
                 )
@@ -279,11 +279,25 @@ def save_model(model: HmmModel, path: str | Path):
     Path(path).write_text(model_to_text(model), encoding="utf-8")
 
 
+def _smoothing_constant(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def model_from_text(text: str) -> HmmModel:
     """Parse and validate a serialized model (normalization included)."""
     transitions: dict[str, dict[str, float]] = {}
     emissions: dict[str, dict[str, float]] = {}
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -297,7 +311,7 @@ def model_from_text(text: str) -> HmmModel:
         if section == "META":
             if len(cells) != 2:
                 raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
-            meta[cells[0]] = cells[1]
+            meta[cells[0]] = (cells[1], line_no)
             continue
         if len(cells) != 3:
             raise ModelFormatError(
@@ -306,25 +320,33 @@ def model_from_text(text: str) -> HmmModel:
         context, outcome, logp = cells
         try:
             prob = 10.0 ** float(logp)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ModelFormatError(f"bad log-probability {logp!r}", line_no) from None
+        if not prob > 0.0:
+            raise ModelFormatError(f"log-probability {logp!r} is not above -inf", line_no)
         table = transitions if section == "TRANSITIONS" else emissions
         table.setdefault(context, {})[outcome] = prob
 
-    try:
-        kt = float(meta["kt"])
-        ke = float(meta["ke"])
-    except KeyError as exc:
-        raise ModelFormatError(f"META lacks required key {exc.args[0]!r}") from None
+    def meta_number(key: str, convert, default: str | None = None):
+        value, line_no = meta.get(key, (default, None))
+        if value is None:
+            raise ModelFormatError(f"META lacks required key {key!r}")
+        try:
+            return convert(value)
+        except ValueError:
+            raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
+
+    kt = meta_number("kt", _smoothing_constant)
+    ke = meta_number("ke", _smoothing_constant)
     tag_counts = {}
-    for key, value in meta.items():
+    for key, (_value, line_no) in meta.items():
         if key.startswith("count."):
             code = key[len("count."):]
             try:
                 parse_tag(code)
             except UnknownTag:
-                raise ModelFormatError(f"META counts unknown tag {code!r}") from None
-            tag_counts[code] = int(value)
+                raise ModelFormatError(f"META counts unknown tag {code!r}", line_no) from None
+            tag_counts[code] = meta_number(key, _count)
     vocab = frozenset(
         form for row in emissions.values() for form in row if form != UNKNOWN
     )
@@ -335,8 +357,8 @@ def model_from_text(text: str) -> HmmModel:
         vocab=vocab,
         kt=kt,
         ke=ke,
-        corpus_name=meta.get("corpus", ""),
-        token_count=int(meta.get("tokens", "0")),
+        corpus_name=meta.get("corpus", ("", None))[0],
+        token_count=meta_number("tokens", _count, default="0"),
     )
 
 
@@ -432,63 +454,77 @@ def viterbi_decode(
     """
     if not sentence:
         return [], 0.0
-    registry = load_registry()
     emits = emission_scores(model, sentence)
     layers = [cls.sorted_tags() for _tok, cls in sentence]
     for position, layer in enumerate(layers):
         if not layer:
             raise ValueError(f"empty candidate set at position {position}")
 
-    # best[code] = (score, prefix of registry indices), lexicographic-min
-    # prefix among equal-score paths ending in this tag.
-    best: dict[str, tuple[float, tuple[int, ...]]] = {}
-    for t in layers[0]:
-        score = model.transition_logp(START, t.code) + emits[0][t.code]
-        best[t.code] = (score, (registry.index(t),))
+    # Per layer, state j (the j-th tag in registry order) keeps the score of
+    # its best path (None when no allowed path reaches it), a backpointer to
+    # that path's state in the previous layer, and the path's rank among the
+    # layer's live paths in lexicographic registry order.  A path's rank
+    # follows from (predecessor's rank, registry index), so comparing
+    # predecessor ranks on equal scores picks the lexicographically
+    # smallest prefix without storing prefixes.
+    scores: list[float | None] = [
+        model.transition_logp(START, t.code) + emits[0][t.code] for t in layers[0]
+    ]
+    rank = list(range(len(layers[0])))
+    backpointers: list[list[int]] = []
 
     for i in range(1, len(layers)):
-        nxt: dict[str, tuple[float, tuple[int, ...]]] = {}
+        prev_layer = layers[i - 1]
+        next_scores: list[float | None] = []
+        back: list[int] = []
         for t in layers[i]:
             emit_lp = emits[i][t.code]
-            idx = registry.index(t)
-            chosen: tuple[float, tuple[int, ...]] | None = None
-            for p in layers[i - 1]:
-                prev_best = best.get(p.code)
-                if prev_best is None:
+            best_score = None
+            best_j = -1
+            for j, p in enumerate(prev_layer):
+                prev_score = scores[j]
+                if prev_score is None:
                     continue
                 if ruleset is not None and not ruleset.allowed(p, t):
                     continue
-                score = prev_best[0] + model.transition_logp(p.code, t.code) + emit_lp
-                prefix = prev_best[1] + (idx,)
+                score = prev_score + model.transition_logp(p.code, t.code) + emit_lp
                 if (
-                    chosen is None
-                    or score > chosen[0]
-                    or (score == chosen[0] and prefix < chosen[1])
+                    best_j < 0
+                    or score > best_score
+                    or (score == best_score and rank[j] < rank[best_j])
                 ):
-                    chosen = (score, prefix)
-            if chosen is not None:
-                nxt[t.code] = chosen
-        if not nxt:
+                    best_score, best_j = score, j
+            next_scores.append(best_score)
+            back.append(best_j)
+        live = [k for k, j in enumerate(back) if j >= 0]
+        if not live:
             raise NoValidPath(i)
-        best = nxt
+        live.sort(key=lambda k: (rank[back[k]], k))
+        rank = [0] * len(back)
+        for r, k in enumerate(live):
+            rank[k] = r
+        scores = next_scores
+        backpointers.append(back)
 
-    final: tuple[float, tuple[int, ...]] | None = None
-    for t in layers[-1]:
-        state = best.get(t.code)
-        if state is None:
+    final_score = None
+    final_k = -1
+    for k, t in enumerate(layers[-1]):
+        if scores[k] is None:
             continue
-        score = state[0] + model.transition_logp(t.code, END)
+        score = scores[k] + model.transition_logp(t.code, END)
         if (
-            final is None
-            or score > final[0]
-            or (score == final[0] and state[1] < final[1])
+            final_k < 0
+            or score > final_score
+            or (score == final_score and rank[k] < rank[final_k])
         ):
-            final = (score, state[1])
-    if final is None:
-        raise NoValidPath(len(layers) - 1)
-    codes = registry.codes()
-    path = [parse_tag(codes[i]) for i in final[1]]
-    return path, final[0]
+            final_score, final_k = score, k
+    path = [layers[-1][final_k]]
+    k = final_k
+    for i in range(len(layers) - 1, 0, -1):
+        k = backpointers[i - 1][k]
+        path.append(layers[i - 1][k])
+    path.reverse()
+    return path, final_score
 
 
 # ----------------------------------------------------------------- pipeline

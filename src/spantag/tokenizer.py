@@ -330,8 +330,6 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
         suffix_len = sum(len(c) for c in clitics)
         if len(surface) <= suffix_len:
             return None
-        if not lowered.endswith("".join(clitics)):
-            return None
         stem = surface[: len(surface) - suffix_len]
         hosted = _host_tags(stem, lexicon)
         if hosted is None:
@@ -348,12 +346,17 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
             source=surface,
         )
 
-    for last in _CLITICS_ORDERED:
+    # Only groups that the lowered surface ends with are attempted, in the
+    # fixed order: every (first, last) pair, then every single clitic.
+    endings = [last for last in _CLITICS_ORDERED if lowered.endswith(last)]
+    for last in endings:
+        rest = lowered[: len(lowered) - len(last)]
         for first in _CLITICS_ORDERED:
-            decision = attempt((first, last))
-            if decision is not None:
-                return decision
-    for last in _CLITICS_ORDERED:
+            if rest.endswith(first):
+                decision = attempt((first, last))
+                if decision is not None:
+                    return decision
+    for last in endings:
         decision = attempt((last,))
         if decision is not None:
             return decision

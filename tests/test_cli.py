@@ -1,5 +1,8 @@
 """Exit-code contract and output shape of the command-line interface."""
 
+import io
+import sys
+
 import pytest
 
 from spantag.cli import main
@@ -168,3 +171,36 @@ def test_eval_with_seed_lexicon_unknown_accuracy(gold_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "unknown-accuracy\t1.000000" in out
+
+
+def test_tag_non_integer_meta_count_exits_2(tmp_path, model_file, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa .", encoding="utf-8")
+    text = model_file.read_text(encoding="utf-8")
+    assert "\ncount.ARTDFS\t2\n" in text
+    text = text.replace("\ncount.ARTDFS\t2\n", "\ncount.ARTDFS\tx\n")
+    model_file.write_text(text, encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count.ARTDFS" in captured.err
+
+
+@pytest.mark.parametrize("command", ["tag", "tokenize"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exits_2(tmp_path, model_file, capsys, monkeypatch, command, source):
+    data = b"La \xffmesa ."
+    src = tmp_path / "in.txt"
+    src.write_bytes(data)
+    if source == "stdin":
+        # as the interpreter opens it in a UTF-8 locale: undecodable bytes escaped
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+    argv = [command, "-" if source == "stdin" else str(src)]
+    if command == "tag":
+        argv += ["--model", str(model_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not valid UTF-8" in captured.err
+    assert ("standard input" if source == "stdin" else str(src)) in captured.err

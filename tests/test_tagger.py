@@ -130,6 +130,61 @@ def test_model_load_rejects_denormalized(toy_corpus, tmp_path):
         model_from_text("\n".join(lines))
 
 
+def _replace_line(text, prefix, replacement):
+    """Replace the first line starting with `prefix`; return the text and
+    the replaced line's number."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index] = replacement
+    return "\n".join(lines) + "\n", index + 1
+
+
+@pytest.mark.parametrize("logp", ["nan", "400"])
+def test_model_load_rejects_nan_and_overflowing_logp(toy_corpus, logp):
+    text = model_to_text(train(toy_corpus))
+    bad, line_no = _replace_line(text, "ARTDFS\tNCFS\t", "ARTDFS\tNCFS\t" + logp)
+    with pytest.raises(ModelFormatError) as err:
+        model_from_text(bad)
+    assert err.value.line == line_no
+
+
+def test_model_rejects_nan_row(toy_corpus):
+    """A nan row sum is not within tolerance of 1."""
+    model = train(toy_corpus)
+    transitions = {c: dict(row) for c, row in model.transitions.items()}
+    transitions["ARTDFS"]["NCFS"] = math.nan
+    with pytest.raises(ModelFormatError):
+        HmmModel(
+            transitions=transitions, emissions=model.emissions,
+            tag_counts=model.tag_counts, vocab=model.vocab,
+            kt=model.kt, ke=model.ke,
+        )
+
+
+def test_model_load_rejects_minus_inf_in_normalized_row(toy_corpus):
+    """A zero probability whose mass moved to another outcome keeps the
+    row summing to 1; the entry itself must still be rejected."""
+    model = train(toy_corpus)
+    row = model.transitions["ARTDFS"]
+    moved = repr(math.log10(row["NCFS"] + row["NCMS"]))
+    text, _ = _replace_line(model_to_text(model), "ARTDFS\tNCFS\t", "ARTDFS\tNCFS\t" + moved)
+    bad, line_no = _replace_line(text, "ARTDFS\tNCMS\t", "ARTDFS\tNCMS\t-inf")
+    with pytest.raises(ModelFormatError) as err:
+        model_from_text(bad)
+    assert err.value.line == line_no
+
+
+@pytest.mark.parametrize("key, value", [
+    ("count.ARTDFS", "x"), ("count.ARTDFS", "-1"), ("tokens", "1.5"),
+    ("kt", "x"), ("ke", "nan"), ("kt", "0"),
+])
+def test_model_load_rejects_bad_meta_values(toy_corpus, key, value):
+    bad, line_no = _replace_line(model_to_text(train(toy_corpus)), f"{key}\t", f"{key}\t{value}")
+    with pytest.raises(ModelFormatError) as err:
+        model_from_text(bad)
+    assert err.value.line == line_no
+
+
 def test_model_load_rejects_garbage():
     with pytest.raises(ModelFormatError):
         model_from_text("TRANSITIONS\njust-one-field\n")
@@ -279,6 +334,111 @@ def test_viterbi_matches_brute_force_oracle():
     assert checked >= 60
 
 
+def prefix_viterbi_decode(model, ruleset, sentence):
+    """Reference: the decoder that keeps each state's whole path prefix and
+    breaks exact ties by comparing prefixes of registry indices.  Quadratic
+    in sentence length, but its tie-break is the definition."""
+    if not sentence:
+        return [], 0.0
+    registry = load_registry()
+    emits = emission_scores(model, sentence)
+    layers = [cls.sorted_tags() for _tok, cls in sentence]
+    best = {}
+    for t in layers[0]:
+        score = model.transition_logp(START, t.code) + emits[0][t.code]
+        best[t.code] = (score, (registry.index(t),))
+    for i in range(1, len(layers)):
+        nxt = {}
+        for t in layers[i]:
+            emit_lp = emits[i][t.code]
+            idx = registry.index(t)
+            chosen = None
+            for p in layers[i - 1]:
+                prev_best = best.get(p.code)
+                if prev_best is None:
+                    continue
+                if ruleset is not None and not ruleset.allowed(p, t):
+                    continue
+                score = prev_best[0] + model.transition_logp(p.code, t.code) + emit_lp
+                prefix = prev_best[1] + (idx,)
+                if (
+                    chosen is None
+                    or score > chosen[0]
+                    or (score == chosen[0] and prefix < chosen[1])
+                ):
+                    chosen = (score, prefix)
+            if chosen is not None:
+                nxt[t.code] = chosen
+        if not nxt:
+            raise NoValidPath(i)
+        best = nxt
+    final = None
+    for t in layers[-1]:
+        state = best.get(t.code)
+        if state is None:
+            continue
+        score = state[0] + model.transition_logp(t.code, END)
+        if final is None or score > final[0] or (score == final[0] and state[1] < final[1]):
+            final = (score, state[1])
+    codes = registry.codes()
+    return [parse_tag(codes[i]) for i in final[1]], final[0]
+
+
+def tie_prone_model(rng):
+    """Either every path ties (no stored rows: uniform everywhere), or
+    add-k rows from a small corpus over part of the tag pool, where the
+    unseen tags share identical rows and so tie exactly."""
+    if rng.random() < 0.5:
+        return HmmModel(
+            transitions={}, emissions={}, tag_counts={},
+            vocab=frozenset(VOCAB_POOL), kt=0.5, ke=0.1,
+        )
+    seen = rng.sample(TAG_POOL, 4)
+    corpus = [
+        TaggedSentence(pairs=tuple(
+            (make_token(rng.choice(VOCAB_POOL)), parse_tag(rng.choice(seen)))
+            for _ in range(rng.randrange(1, 5))
+        ))
+        for _ in range(rng.randrange(1, 4))
+    ]
+    return train(corpus, kt=1.0, ke=1.0)
+
+
+def test_backpointer_decoder_matches_prefix_reference():
+    rng = random.Random(31337)
+    outcomes = {"path": 0, "long constrained path": 0, "NoValidPath": 0}
+    for _ in range(200):
+        model = tie_prone_model(rng)
+        n = rng.choice([rng.randrange(1, 12), rng.randrange(12, 300)])
+        sent = [
+            (
+                Token(rng.choice(VOCAB_POOL + ("inventada",)), (i, i + 1), KIND_WORD),
+                AmbiguityClass(frozenset(
+                    parse_tag(c) for c in rng.sample(TAG_POOL, rng.randrange(1, 5))
+                )),
+            )
+            for i in range(n)
+        ]
+        if rng.random() < 0.6:
+            ruleset = random_ruleset(rng)
+        else:  # one FORBID pair: long lattices then mostly stay feasible
+            ruleset = parse_rules(f"FORBID {rng.choice(TAG_POOL)} {rng.choice(TAG_POOL)}\n")
+        try:
+            expected = prefix_viterbi_decode(model, ruleset, sent)
+        except NoValidPath as err:
+            with pytest.raises(NoValidPath) as got:
+                viterbi_decode(model, ruleset, sent)
+            assert got.value.position == err.position
+            outcomes["NoValidPath"] += 1
+            continue
+        path, score = viterbi_decode(model, ruleset, sent)
+        assert [t.code for t in path] == [t.code for t in expected[0]]
+        assert score == expected[1]  # bit-equal: same additions in the same order
+        outcomes["path"] += 1
+        outcomes["long constrained path"] += ruleset is not None and n >= 100
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_forced_path_ignores_model(toy_corpus):
     model = train(toy_corpus)
     sent = [
@@ -383,6 +543,25 @@ def test_decoding_cost_linear_in_length(toy_corpus):
     long = measure(320)
     # 8x the length: linear decoding stays near 8x; quadratic would be 64x
     assert long / short < 32, f"ratio {long / short:.1f}"
+
+
+def test_decoding_cost_linear_at_larger_n(toy_corpus):
+    """The per-layer rank keeps decoding linear where copying whole path
+    prefixes would not: 8x the length must cost well under 16x."""
+    model = train(toy_corpus)
+    cands = AmbiguityClass.of("ARTDFS", "NCFS", "ADJGFS")
+    sentences = {
+        n: [(Token("la", (i, i + 1), KIND_WORD), cands) for i in range(n)]
+        for n in (1000, 8000)
+    }
+    best = {n: float("inf") for n in sentences}
+    for _ in range(3):  # alternate lengths so a slow spell hits both
+        for n, sent in sentences.items():
+            t0 = time.perf_counter()
+            viterbi_decode(model, None, sent)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    ratio = best[8000] / best[1000]
+    assert ratio < 16, f"ratio {ratio:.1f}"
 
 
 # ----------------------------------------------------------------- pipeline

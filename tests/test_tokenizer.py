@@ -5,14 +5,19 @@ import random
 import pytest
 
 from spantag.lexicon import parse_lexicon, seed_lexicon
+from spantag.tagset import parse_tag
 from spantag.tokenizer import (
+    _CLITICS_ORDERED,
     CLITIC_TAGS,
+    CONFIDENCE_HEURISTIC,
     KIND_ABBREVIATION,
     KIND_CODE,
     KIND_NUMBER,
     KIND_PUNCTUATION,
     KIND_WORD,
+    SplitDecision,
     Token,
+    _host_tags,
     default_abbreviations,
     load_abbreviations,
     load_multiwords,
@@ -259,6 +264,105 @@ def _deaccented_matches(surface, glued):
 def test_enclitic_at_most_two(verb_lexicon):
     # three stacked clitics are rejected even with an attested stem
     assert split_enclitics(word("dímeselo"), verb_lexicon) is None
+
+
+def exhaustive_split_enclitics(token, lexicon):
+    """Reference: the unpruned search, which attempts every one of the
+    121 ordered clitic pairs and then the 11 single clitics."""
+    if token.kind != KIND_WORD:
+        return None
+    surface = token.surface
+    lowered = surface.lower()
+
+    def attempt(clitics):
+        suffix_len = sum(len(c) for c in clitics)
+        if len(surface) <= suffix_len:
+            return None
+        if not lowered.endswith("".join(clitics)):
+            return None
+        stem = surface[: len(surface) - suffix_len]
+        hosted = _host_tags(stem, lexicon)
+        if hosted is None:
+            return None
+        stem_form, host_tags = hosted
+        parts = [(stem_form, host_tags)]
+        parts.extend(
+            (clitic, frozenset({parse_tag(CLITIC_TAGS[clitic])}))
+            for clitic in clitics
+        )
+        return SplitDecision(
+            parts=tuple(parts),
+            confidence=CONFIDENCE_HEURISTIC,
+            source=surface,
+        )
+
+    for last in _CLITICS_ORDERED:
+        for first in _CLITICS_ORDERED:
+            decision = attempt((first, last))
+            if decision is not None:
+                return decision
+    for last in _CLITICS_ORDERED:
+        decision = attempt((last,))
+        if decision is not None:
+            return decision
+    return None
+
+
+_ACCENTED = {"a": "á", "e": "é", "i": "í", "o": "ó", "u": "ú"}
+
+
+def _fuzz_surface(rng, host, group):
+    """`host` + `group`, randomly given a written accent on the host,
+    capitalized, upper-cased, or with an "İ", whose lower() is two code
+    points long."""
+    if rng.random() < 0.4:
+        vowels = [i for i, c in enumerate(host) if c in _ACCENTED]
+        if vowels:
+            i = rng.choice(vowels)
+            host = host[:i] + _ACCENTED[host[i]] + host[i + 1:]
+    surface = host + "".join(group)
+    roll = rng.random()
+    if roll < 0.2:
+        surface = surface[:1].upper() + surface[1:]
+    elif roll < 0.3:
+        surface = surface.upper()
+    elif roll < 0.45:
+        at = surface.find("i")
+        if at < 0:
+            at = rng.randrange(len(surface) + 1)
+        surface = surface[:at] + "İ" + surface[at + 1:]
+    return surface
+
+
+def test_pruned_enclitic_search_matches_exhaustive_reference():
+    lexicon = parse_lexicon(
+        "di\tVLPM2S\nda\tVLPM2S\ndame\tVLPM2S\nve\tVLPM2S\nven\tVLPM2S\n"
+        "vete\tVLPM2S\npon\tVLPM2S\ncomer\tVLINF\ndecir\tVLINF\ncomprando\tVLGER\n"
+        "diciendo\tVLGER\ni\u0307r\tVLINF\ndiga\tVLPS3S\ncome\tVLPI3S,NCMS\n",
+        include_seed=True,
+    )
+    # "ve"/"ven" make "venos" and "venoslo" split two ways, so the order in
+    # which groups are tried decides the result
+    hosts = [
+        "di", "da", "dame", "ve", "ven", "vete", "pon", "comer", "decir",
+        "comprando", "diciendo", "ir", "diga", "come", "mesa", "casa", "", "x",
+    ]
+    groups = [()] + [(c,) for c in CLITIC_TAGS]
+    groups += [(a, b) for a in CLITIC_TAGS for b in CLITIC_TAGS]
+    rng = random.Random(20261018)
+    cases = [(host, group) for host in hosts for group in groups]
+    cases += [(rng.choice(hosts), rng.choices(list(CLITIC_TAGS), k=3)) for _ in range(300)]
+    assert len(cases) >= 2000
+    splits = pairs = 0
+    for host, group in cases:
+        token = word(_fuzz_surface(rng, host, group) or "se")
+        expected = exhaustive_split_enclitics(token, lexicon)
+        assert split_enclitics(token, lexicon) == expected, token.surface
+        if expected is not None:
+            splits += 1
+            pairs += len(expected.parts) == 3
+    # the fuzz must reach both one- and two-clitic splits
+    assert splits >= 300 and pairs >= 100, (splits, pairs)
 
 
 # --------------------------------------------------------------- resources
