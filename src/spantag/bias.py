@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BadPattern, RuleSyntaxError
+from .errors import BadPattern, RuleSyntaxError, read_utf8
 from .tagset import Tag, load_registry
 
 FORBID = "forbid"
@@ -114,12 +114,13 @@ class RuleSet:
 
     def validate_sequence(self, tags: list[Tag]) -> list[tuple[int, int]]:
         """Violations as (pair index, rule id); empty list means valid."""
-        violations = []
-        for i in range(len(tags) - 1):
-            rule = self.first_violation(tags[i], tags[i + 1])
-            if rule is not None:
-                violations.append((i, rule.rule_id))
-        return violations
+        # The compiled table bans exactly the pairs some rule violates, so
+        # only the pairs it rejects need the rule-by-rule search.
+        return [
+            (i, self.first_violation(tags[i], tags[i + 1]).rule_id)
+            for i in range(len(tags) - 1)
+            if not self.allowed(tags[i], tags[i + 1])
+        ]
 
 
 EMPTY_RULESET = RuleSet(())
@@ -156,7 +157,7 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_rules(read_utf8(path))
 
 
 def allowed(ruleset: RuleSet, t1: Tag, t2: Tag) -> bool:

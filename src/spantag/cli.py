@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bias, corpus_io, lexicon as lexmod, tagger, tagset, tokenizer
-from .errors import TaggingError
+from .errors import TaggingError, read_utf8, utf8_decoding
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -22,15 +22,12 @@ EXIT_USAGE = 2
 
 
 def _read_input(path: str) -> str:
-    try:
-        if path == "-":
-            # strict UTF-8 whatever the locale, as for input files
-            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        name = "standard input" if path == "-" else path
-        raise TaggingError(f"{name} is not valid UTF-8: {exc}") from None
+    if path != "-":
+        return read_utf8(path)
+    # strict UTF-8 whatever the locale, as for input files
+    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    with utf8_decoding("standard input"):
+        return sys.stdin.read()
 
 
 def _load_lexicon(arg: str | None, seed_only: bool) -> lexmod.Lexicon:

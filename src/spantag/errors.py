@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one file reader
+that turns undecodable input into them.
 
 Errors that originate from a line-oriented input (lexicon files, rules
 files, vertical corpora) carry the 1-based line number that triggered
@@ -6,6 +7,9 @@ them so callers can report addressable diagnostics.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class TaggingError(Exception):
@@ -101,3 +105,21 @@ class AlignmentError(TaggingError):
         self.position = position
         detail = f": {message}" if message else ""
         super().__init__(f"token streams diverge at position {position}{detail}")
+
+
+@contextmanager
+def utf8_decoding(name: str):
+    """Turn a UTF-8 decode failure inside the block into a TaggingError
+    that names the input."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise TaggingError(f"{name} is not valid UTF-8: {exc}") from None
+
+
+def read_utf8(path: str | Path) -> str:
+    """A file's text, decoded as strict UTF-8.  Every input file goes
+    through here, so bytes that are not UTF-8 raise a TaggingError naming
+    the file."""
+    with utf8_decoding(str(path)):
+        return Path(path).read_text(encoding="utf-8")

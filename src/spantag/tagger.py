@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bias import RuleSet
-from .errors import EmptyCorpus, ModelFormatError, NoValidPath, UnknownTag
+from .errors import (
+    EmptyCorpus, ModelFormatError, NoValidPath, TaggingError, UnknownTag, read_utf8,
+)
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
 from .tagset import Tag, load_registry, parse_tag
 from . import tokenizer as tok
@@ -30,7 +32,10 @@ START = "<s>"
 END = "</s>"
 UNKNOWN = "<unk>"
 
+COUNTS_MARKER = "COUNTS"  # first line of a counts model file
+
 _NORM_TOL = 1e-9
+_COUNT_LIMIT = 2**63  # counts at or above this are rejected, so sums stay floats
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,9 @@ class HmmModel:
     `emissions` maps a tag seen in training to a row over the training
     vocabulary plus UNKNOWN.  Rows for contexts never seen in training
     are implicitly uniform.  Each stored row must sum to 1 within 1e-9.
+    `transition_counts` and `emission_counts` hold the training counts the
+    rows were smoothed from; they are empty for a model loaded from a v1
+    file or built from rows.
     """
 
     def __init__(
@@ -182,56 +190,76 @@ def train(
     trans_counts: dict[tuple[str, str], int] = {}
     emit_counts: dict[tuple[str, str], int] = {}
     tag_counts: dict[str, int] = {}
-    vocab: set[str] = set()
     token_count = 0
 
     def bump(d, key):
         d[key] = d.get(key, 0) + 1
 
-    for sentence in corpus:
+    for s_index, sentence in enumerate(corpus):
         prev = START
-        for token, tag in sentence.pairs:
+        for position, (token, tag) in enumerate(sentence.pairs):
             code = tag.code
             if code not in registry:
                 raise UnknownTag(code)
+            if token.surface == UNKNOWN:
+                raise TaggingError(
+                    f"sentence {s_index}, token {position}: the wordform {UNKNOWN!r} "
+                    "is reserved for unknown words and cannot be trained"
+                )
             bump(trans_counts, (prev, code))
             bump(emit_counts, (code, token.surface))
             bump(tag_counts, code)
-            vocab.add(token.surface)
             token_count += 1
             prev = code
         bump(trans_counts, (prev, END))
 
+    return _smoothed_model(
+        trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count
+    )
+
+
+def _smoothed_model(
+    trans_counts: dict[tuple[str, str], int],
+    emit_counts: dict[tuple[str, str], int],
+    tag_counts: dict[str, int],
+    kt: float,
+    ke: float,
+    corpus_name: str,
+    token_count: int,
+) -> HmmModel:
+    """The add-k smoothed model of a set of counts.
+
+    `train` and the counts-file loader both build their model here, so a
+    saved and reloaded model is bit-identical to the trained one.  Each
+    row starts from the unseen value ``k / denom`` and every seen outcome
+    is then overwritten with ``(n + k) / denom``; ``0 + k`` is exactly
+    ``k``, so every entry is the float ``(n + k) / denom`` for its count.
+    Every transition context other than START and every emission tag
+    must be a key of `tag_counts`.
+    """
+    registry = load_registry()
+    seen_tags = [c for c in registry.codes() if c in tag_counts]
     outcome_codes = list(registry.codes()) + [END]
-    contexts = [START] + [c for c in registry.codes() if c in tag_counts]
-    context_totals = {c: 0 for c in contexts}
+    context_totals = dict.fromkeys([START] + seen_tags, 0)
     for (prev, _nxt), n in trans_counts.items():
         context_totals[prev] += n
+    trans_denoms = {c: total + kt * len(outcome_codes) for c, total in context_totals.items()}
+    transitions = {c: dict.fromkeys(outcome_codes, kt / d) for c, d in trans_denoms.items()}
+    for (prev, nxt), n in trans_counts.items():
+        transitions[prev][nxt] = (n + kt) / trans_denoms[prev]
 
-    transitions = {}
-    for context in contexts:
-        total = context_totals[context]
-        denom = total + kt * len(outcome_codes)
-        transitions[context] = {
-            out: (trans_counts.get((context, out), 0) + kt) / denom
-            for out in outcome_codes
-        }
-
+    vocab = frozenset(form for _code, form in emit_counts)
     emit_outcomes = sorted(vocab) + [UNKNOWN]
-    emissions = {}
-    for code in (c for c in registry.codes() if c in tag_counts):
-        total = tag_counts[code]
-        denom = total + ke * len(emit_outcomes)
-        emissions[code] = {
-            out: (emit_counts.get((code, out), 0) + ke) / denom
-            for out in emit_outcomes
-        }
+    emit_denoms = {c: tag_counts[c] + ke * len(emit_outcomes) for c in seen_tags}
+    emissions = {c: dict.fromkeys(emit_outcomes, ke / d) for c, d in emit_denoms.items()}
+    for (code, form), n in emit_counts.items():
+        emissions[code][form] = (n + ke) / emit_denoms[code]
 
     return HmmModel(
         transitions=transitions,
         emissions=emissions,
         tag_counts=tag_counts,
-        vocab=frozenset(vocab),
+        vocab=vocab,
         kt=kt,
         ke=ke,
         corpus_name=corpus_name,
@@ -243,18 +271,35 @@ def train(
 
 # ------------------------------------------------------------------ model IO
 
+def _registry_order() -> dict[str, int]:
+    order = {code: i for i, code in enumerate(load_registry().codes())}
+    order[START] = -1
+    order[END] = len(order)
+    return order
+
+
+def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
+    return [
+        "META",
+        f"corpus\t{model.corpus_name}",
+        f"tokens\t{model.token_count}",
+        f"kt\t{model.kt!r}",
+        f"ke\t{model.ke!r}",
+    ] + [
+        f"count.{code}\t{model.tag_counts[code]}"
+        for code in sorted(model.tag_counts, key=order.__getitem__)
+    ]
+
+
 def model_to_text(model: HmmModel) -> str:
-    """Serialize a model: TRANSITIONS / EMISSIONS / META sections.
+    """Serialize a model as v1 probability rows: TRANSITIONS / EMISSIONS /
+    META sections.
 
     Probability rows are ``context<TAB>outcome<TAB>log10-prob``.  META
     rows are ``key<TAB>value`` and carry the smoothing constants plus the
     sparse per-tag training counts needed to rebuild tag priors.
     """
-    registry = load_registry()
-    order = {code: i for i, code in enumerate(registry.codes())}
-    order[START] = -1
-    order[END] = len(order)
-
+    order = _registry_order()
     lines = ["TRANSITIONS"]
     for context in sorted(model.transitions, key=order.__getitem__):
         row = model.transitions[context]
@@ -265,18 +310,39 @@ def model_to_text(model: HmmModel) -> str:
         row = model.emissions[tag_code]
         for outcome in sorted(row, key=lambda w: (w == UNKNOWN, w)):
             lines.append(f"{tag_code}\t{outcome}\t{math.log10(row[outcome])!r}")
-    lines.append("META")
-    lines.append(f"corpus\t{model.corpus_name}")
-    lines.append(f"tokens\t{model.token_count}")
-    lines.append(f"kt\t{model.kt!r}")
-    lines.append(f"ke\t{model.ke!r}")
-    for code in sorted(model.tag_counts, key=order.__getitem__):
-        lines.append(f"count.{code}\t{model.tag_counts[code]}")
+    lines += _meta_lines(model, order)
+    return "\n".join(lines) + "\n"
+
+
+def model_to_counts_text(model: HmmModel) -> str:
+    """Serialize a model's training counts: a ``COUNTS`` marker line, then
+    TRANSITIONS / EMISSIONS / META sections.
+
+    Count rows are ``context<TAB>outcome<TAB>count``, one per pair seen in
+    training, in registry order (forms sorted within a tag).  META is as
+    in `model_to_text`.  Unseen outcomes are implied by add-k smoothing,
+    which the loader redoes exactly as `train` does.
+    """
+    order = _registry_order()
+    lines = [COUNTS_MARKER, "TRANSITIONS"]
+    for context, outcome in sorted(
+        model.transition_counts, key=lambda pair: (order[pair[0]], order[pair[1]])
+    ):
+        lines.append(f"{context}\t{outcome}\t{model.transition_counts[context, outcome]}")
+    lines.append("EMISSIONS")
+    for code, form in sorted(
+        model.emission_counts, key=lambda pair: (order[pair[0]], pair[1])
+    ):
+        lines.append(f"{code}\t{form}\t{model.emission_counts[code, form]}")
+    lines += _meta_lines(model, order)
     return "\n".join(lines) + "\n"
 
 
 def save_model(model: HmmModel, path: str | Path):
-    Path(path).write_text(model_to_text(model), encoding="utf-8")
+    """Write a counts file, or v1 probability rows for a model that has
+    no counts (one loaded from a v1 file or built from rows)."""
+    text = model_to_counts_text(model) if model.transition_counts else model_to_text(model)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _smoothing_constant(text: str) -> float:
@@ -288,18 +354,58 @@ def _smoothing_constant(text: str) -> float:
 
 def _count(text: str) -> int:
     value = int(text)
-    if value < 0:
+    if not 0 <= value < _COUNT_LIMIT:
         raise ValueError(text)
     return value
 
 
+def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[str, int], str, int]:
+    """kt, ke, tag counts, corpus name and token count of a META section."""
+
+    def meta_number(key: str, convert, default: str | None = None):
+        value, line_no = meta.get(key, (default, None))
+        if value is None:
+            raise ModelFormatError(f"META lacks required key {key!r}")
+        try:
+            return convert(value)
+        except ValueError:
+            raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
+
+    kt = meta_number("kt", _smoothing_constant)
+    ke = meta_number("ke", _smoothing_constant)
+    tag_counts = {}
+    for key, (_value, line_no) in meta.items():
+        if key.startswith("count."):
+            code = key[len("count."):]
+            try:
+                parse_tag(code)
+            except UnknownTag:
+                raise ModelFormatError(f"META counts unknown tag {code!r}", line_no) from None
+            tag_counts[code] = meta_number(key, _count)
+    token_count = meta_number("tokens", _count, default="0")
+    return kt, ke, tag_counts, meta.get("corpus", ("", None))[0], token_count
+
+
 def model_from_text(text: str) -> HmmModel:
-    """Parse and validate a serialized model (normalization included)."""
+    """Parse and validate a serialized model: a counts file when its first
+    line is ``COUNTS``, v1 probability rows otherwise."""
+    lines = text.splitlines()
+    if lines and lines[0] == COUNTS_MARKER:
+        return _model_from_counts(lines)
+    return _model_from_v1(lines)
+
+
+def _model_from_v1(lines: list[str]) -> HmmModel:
+    """Parse v1 probability rows (normalization checked by HmmModel).
+
+    The section scan is repeated in `_model_from_counts` rather than
+    shared through a generator, which would add about 7% to parsing the
+    157k rows of a v1 file."""
     transitions: dict[str, dict[str, float]] = {}
     emissions: dict[str, dict[str, float]] = {}
     meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     section = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         if raw in ("TRANSITIONS", "EMISSIONS", "META"):
@@ -327,26 +433,7 @@ def model_from_text(text: str) -> HmmModel:
         table = transitions if section == "TRANSITIONS" else emissions
         table.setdefault(context, {})[outcome] = prob
 
-    def meta_number(key: str, convert, default: str | None = None):
-        value, line_no = meta.get(key, (default, None))
-        if value is None:
-            raise ModelFormatError(f"META lacks required key {key!r}")
-        try:
-            return convert(value)
-        except ValueError:
-            raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
-
-    kt = meta_number("kt", _smoothing_constant)
-    ke = meta_number("ke", _smoothing_constant)
-    tag_counts = {}
-    for key, (_value, line_no) in meta.items():
-        if key.startswith("count."):
-            code = key[len("count."):]
-            try:
-                parse_tag(code)
-            except UnknownTag:
-                raise ModelFormatError(f"META counts unknown tag {code!r}", line_no) from None
-            tag_counts[code] = meta_number(key, _count)
+    kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
     vocab = frozenset(
         form for row in emissions.values() for form in row if form != UNKNOWN
     )
@@ -357,13 +444,109 @@ def model_from_text(text: str) -> HmmModel:
         vocab=vocab,
         kt=kt,
         ke=ke,
-        corpus_name=meta.get("corpus", ("", None))[0],
-        token_count=meta_number("tokens", _count, default="0"),
+        corpus_name=corpus_name,
+        token_count=token_count,
+    )
+
+
+def _model_from_counts(lines: list[str]) -> HmmModel:
+    """Parse a counts file, check that its counts agree with each other,
+    and smooth them as `train` does."""
+    registry = load_registry()
+    trans_counts: dict[tuple[str, str], int] = {}
+    emit_counts: dict[tuple[str, str], int] = {}
+    # (section, context) -> the sum of its counts, and its first line number
+    totals: dict[tuple[str, str], int] = {}
+    first_row: dict[tuple[str, str], int] = {}
+    meta: dict[str, tuple[str, int]] = {}
+    section = None
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        if raw in ("TRANSITIONS", "EMISSIONS", "META"):
+            section = raw
+            continue
+        if section is None:
+            raise ModelFormatError("data before the first section header", line_no)
+        cells = raw.split("\t")
+        if section == "META":
+            if len(cells) != 2:
+                raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
+            meta[cells[0]] = (cells[1], line_no)
+            continue
+        if len(cells) != 3:
+            raise ModelFormatError(
+                "count rows must be 'context<TAB>outcome<TAB>count'", line_no
+            )
+        context, outcome, count = cells
+        if not (count.isascii() and count.isdigit() and len(count) < 20
+                and 0 < int(count) < _COUNT_LIMIT):
+            raise ModelFormatError(f"count {count!r} is not a positive integer", line_no)
+        if section == "TRANSITIONS":
+            if context != START and context not in registry:
+                raise ModelFormatError(
+                    f"transition context {context!r} is neither {START} nor a registry tag",
+                    line_no,
+                )
+            if outcome != END and outcome not in registry:
+                raise ModelFormatError(
+                    f"transition outcome {outcome!r} is neither a registry tag nor {END}",
+                    line_no,
+                )
+            table = trans_counts
+        else:
+            if context not in registry:
+                raise ModelFormatError(f"emission tag {context!r} is not a registry tag", line_no)
+            if outcome == UNKNOWN:
+                raise ModelFormatError(
+                    f"emission form {UNKNOWN!r} is reserved for unknown words", line_no
+                )
+            table = emit_counts
+        if (context, outcome) in table:
+            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
+        table[context, outcome] = n = int(count)
+        totals[section, context] = totals.get((section, context), 0) + n
+        first_row.setdefault((section, context), line_no)
+
+    kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
+
+    for code in registry.codes():
+        emitted = totals.get(("EMISSIONS", code), 0)
+        outgoing = totals.get(("TRANSITIONS", code), 0)
+        if emitted and code not in tag_counts:
+            raise ModelFormatError(
+                f"tag {code!r} emits but META has no count.{code}",
+                first_row["EMISSIONS", code],
+            )
+        if emitted != tag_counts.get(code, 0):
+            raise ModelFormatError(
+                f"count.{code} is {tag_counts[code]} but its emissions total {emitted}",
+                meta[f"count.{code}"][1],
+            )
+        if outgoing != emitted:
+            raise ModelFormatError(
+                f"tag {code!r} has {outgoing} outgoing transitions but {emitted} emissions",
+                first_row.get(("TRANSITIONS", code), first_row.get(("EMISSIONS", code))),
+            )
+    sentences = sum(n for (_context, outcome), n in trans_counts.items() if outcome == END)
+    started = totals.get(("TRANSITIONS", START), 0)
+    if started != sentences:
+        raise ModelFormatError(
+            f"{START} has {started} transitions but {sentences} lead to {END}",
+            first_row.get(("TRANSITIONS", START)),
+        )
+    if token_count != sum(tag_counts.values()):
+        raise ModelFormatError(
+            f"tokens is {token_count} but the tag counts total {sum(tag_counts.values())}",
+            meta.get("tokens", (None, None))[1],
+        )
+    return _smoothed_model(
+        trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count
     )
 
 
 def load_model(path: str | Path) -> HmmModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    return model_from_text(read_utf8(path))
 
 
 # ----------------------------------------------------------------- decoding

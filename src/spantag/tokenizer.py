@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import read_utf8
 from .lexicon import Lexicon
 from .tagset import Tag, decompose, load_registry, parse_tag
 
@@ -91,7 +92,7 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
     """User abbreviation file (one surface per line, ``#`` comments),
     unioned with the built-in list."""
     forms = set(default_abbreviations())
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             forms.add(line)
@@ -101,7 +102,7 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 def load_multiwords(path: str | Path) -> tuple[str, ...]:
     """Multiword file: one space-separated multiword expression per line."""
     out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path).splitlines():
         line = " ".join(raw.split())
         if line and not line.startswith("#"):
             out.append(line)

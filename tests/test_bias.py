@@ -215,3 +215,27 @@ def test_validation_agrees_with_allowed():
         violations = {i for i, _rid in validate_sequence(rs, seq)}
         for i in range(max(0, len(seq) - 1)):
             assert (i in violations) == (not rs.allowed(seq[i], seq[i + 1]))
+
+
+def naive_validate_sequence(rs, seq):
+    """Reference: the first violated rule of every adjacent pair, rule by rule."""
+    violations = []
+    for i in range(len(seq) - 1):
+        rule = rs.first_violation(seq[i], seq[i + 1])
+        if rule is not None:
+            violations.append((i, rule.rule_id))
+    return violations
+
+
+def test_validate_sequence_equals_per_pair_search():
+    rng = random.Random(16)
+    codes = load_registry().codes()
+    found = 0
+    for _round in range(60):
+        pool = rng.sample(codes, 12)  # a small pool, so the rules often fire
+        rs = parse_rules("\n".join(random_rule_lines(rng, pool, rng.randrange(1, 6))))
+        seq = tags(*(rng.choice(pool) for _ in range(rng.randrange(0, 40))))
+        expected = naive_validate_sequence(rs, seq)
+        assert validate_sequence(rs, seq) == expected
+        found += len(expected)
+    assert found > 50

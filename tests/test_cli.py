@@ -204,3 +204,48 @@ def test_non_utf8_input_exits_2(tmp_path, model_file, capsys, monkeypatch, comma
     assert captured.out == ""
     assert "not valid UTF-8" in captured.err
     assert ("standard input" if source == "stdin" else str(src)) in captured.err
+
+
+@pytest.mark.parametrize("bad", [
+    "lexicon", "rules", "abbrev", "multiwords", "model", "validate", "train", "eval",
+])
+def test_non_utf8_input_file_exits_2(tmp_path, model_file, gold_file, capsys, bad):
+    files = {
+        name: tmp_path / f"{name}.txt"
+        for name in ("input", "lexicon", "rules", "abbrev", "multiwords")
+    }
+    files["input"].write_text("La mesa .", encoding="utf-8")
+    files["lexicon"].write_text("mesa\tNCFS\n", encoding="utf-8")
+    files["rules"].write_text("FORBID ARTDFS NCMP\n", encoding="utf-8")
+    files["abbrev"].write_text("etc.\n", encoding="utf-8")
+    files["multiwords"].write_text("sin embargo\n", encoding="utf-8")
+    files["model"], files["validate"], files["train"], files["eval"] = (
+        model_file, gold_file, gold_file, gold_file,
+    )
+    broken = files[bad]
+    broken.write_bytes(broken.read_bytes() + b"\xff\tNCFS\n")
+    tag = ["tag", str(files["input"]), "--model", str(files["model"])]
+    argv = {
+        "lexicon": tag + ["--lexicon", str(files["lexicon"])],
+        "rules": tag + ["--rules", str(files["rules"])],
+        "abbrev": tag + ["--abbrev", str(files["abbrev"])],
+        "multiwords": tag + ["--multiwords", str(files["multiwords"])],
+        "model": tag,
+        "validate": ["validate", str(gold_file), "--rules", str(files["rules"])],
+        "train": ["train", "--corpus", str(gold_file), "--model", str(tmp_path / "new.model")],
+        "eval": ["eval", "--gold", str(gold_file), "--pred", str(gold_file)],
+    }[bad]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not valid UTF-8" in captured.err
+    assert str(broken) in captured.err
+
+
+def test_train_rejects_unknown_symbol_form_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "gold.vrt"
+    corpus.write_text("la\tARTDFS\n<unk>\tNCFS\n.\t.\n\n", encoding="utf-8")
+    assert main(["train", "--corpus", str(corpus), "--model", str(tmp_path / "m.model")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'<unk>' is reserved" in captured.err
