@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-lexicon-only", action="store_true",
                    help="ignore --lexicon and use only the built-in seed")
     p.add_argument("--jobs", type=int, default=1,
-                   help="decode sentences in parallel (output order is unchanged)")
+                   help="accepted for compatibility and ignored: decoding runs on one thread")
     p.add_argument("--abbrev", help="extra abbreviations file")
     p.add_argument("--multiwords", help="multiword expressions file")
     p.set_defaults(func=cmd_tag)

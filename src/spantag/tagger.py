@@ -16,7 +16,7 @@ order, which makes decoding fully deterministic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +35,7 @@ UNKNOWN = "<unk>"
 COUNTS_MARKER = "COUNTS"  # first line of a counts model file
 
 _NORM_TOL = 1e-9
+_MIN_PROB = sys.float_info.min  # smallest normal float
 _COUNT_LIMIT = 2**63  # counts at or above this are rejected, so sums stay floats
 
 
@@ -69,7 +70,8 @@ class HmmModel:
     to a full probability row over every registry tag plus END;
     `emissions` maps a tag seen in training to a row over the training
     vocabulary plus UNKNOWN.  Rows for contexts never seen in training
-    are implicitly uniform.  Each stored row must sum to 1 within 1e-9.
+    are implicitly uniform.  Each stored row must sum to 1 within 1e-9,
+    and no stored probability or tag prior may be zero or subnormal.
     `transition_counts` and `emission_counts` hold the training counts the
     rows were smoothed from; they are empty for a model loaded from a v1
     file or built from rows.
@@ -112,12 +114,18 @@ class HmmModel:
         self._validate_rows()
 
     def _validate_rows(self):
+        # A zero or subnormal probability makes a log10 or an unknown-word
+        # share fail or lose its precision while tagging.
+        if min(self._priors.values()) < _MIN_PROB:
+            raise ModelFormatError(
+                f"kt {self.kt!r} is too small: a tag prior is zero or subnormal"
+            )
         registry = load_registry()
         trans_outcomes = set(registry.codes()) | {END}
         for context, row in self.transitions.items():
             if context != START and context not in registry:
                 raise ModelFormatError(f"transition context {context!r} is not a registry tag")
-            if set(row) != trans_outcomes:
+            if row.keys() != trans_outcomes:
                 raise ModelFormatError(
                     f"transition row for {context!r} does not cover the registry plus {END}"
                 )
@@ -126,11 +134,16 @@ class HmmModel:
                 raise ModelFormatError(
                     f"transition row for {context!r} sums to {total!r}"
                 )
+            if min(row.values()) < _MIN_PROB:
+                raise ModelFormatError(
+                    f"transition row for {context!r} holds a zero or subnormal "
+                    f"probability (kt {self.kt!r} is too small)"
+                )
         emit_outcomes = set(self.vocab) | {UNKNOWN}
         for tag_code, row in self.emissions.items():
             if tag_code not in registry:
                 raise ModelFormatError(f"emission context {tag_code!r} is not a registry tag")
-            if set(row) != emit_outcomes:
+            if row.keys() != emit_outcomes:
                 raise ModelFormatError(
                     f"emission row for {tag_code!r} does not cover the vocabulary plus {UNKNOWN}"
                 )
@@ -138,6 +151,11 @@ class HmmModel:
             if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
                 raise ModelFormatError(
                     f"emission row for {tag_code!r} sums to {total!r}"
+                )
+            if min(row.values()) < _MIN_PROB:
+                raise ModelFormatError(
+                    f"emission row for {tag_code!r} holds a zero or subnormal "
+                    f"probability (ke {self.ke!r} is too small)"
                 )
 
     # ------------------------------------------------------------- scoring
@@ -279,9 +297,15 @@ def _registry_order() -> dict[str, int]:
 
 
 def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
+    name = model.corpus_name
+    # A tab or line boundary would split the corpus row when the file is read
+    # back, and a lone surrogate cannot be written as UTF-8.
+    if ("\t" in name or "".join(name.splitlines()) != name
+            or any("\ud800" <= ch <= "\udfff" for ch in name)):
+        raise TaggingError(f"corpus name {name!r} cannot be stored in a model file")
     return [
         "META",
-        f"corpus\t{model.corpus_name}",
+        f"corpus\t{name}",
         f"tokens\t{model.token_count}",
         f"kt\t{model.kt!r}",
         f"ke\t{model.ke!r}",
@@ -342,7 +366,8 @@ def save_model(model: HmmModel, path: str | Path):
     """Write a counts file, or v1 probability rows for a model that has
     no counts (one loaded from a v1 file or built from rows)."""
     text = model_to_counts_text(model) if model.transition_counts else model_to_text(model)
-    Path(path).write_text(text, encoding="utf-8")
+    # encoded before the file is opened, so a failure leaves it untouched
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _smoothing_constant(text: str) -> float:
@@ -395,17 +420,14 @@ def model_from_text(text: str) -> HmmModel:
     return _model_from_v1(lines)
 
 
-def _model_from_v1(lines: list[str]) -> HmmModel:
-    """Parse v1 probability rows (normalization checked by HmmModel).
-
-    The section scan is repeated in `_model_from_counts` rather than
-    shared through a generator, which would add about 7% to parsing the
-    157k rows of a v1 file."""
-    transitions: dict[str, dict[str, float]] = {}
-    emissions: dict[str, dict[str, float]] = {}
-    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
+def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, int]],
+               row_format: str):
+    """Scan a model file's sections: yield ``(line_no, section, cells)`` for
+    each TRANSITIONS / EMISSIONS row and store each META row in `meta` as
+    key -> (value, line number).  Blank lines are skipped; data before the
+    first section header and rows of the wrong width are rejected."""
     section = None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(lines, start=first_line_no):
         if not raw.strip():
             continue
         if raw in ("TRANSITIONS", "EMISSIONS", "META"):
@@ -418,12 +440,20 @@ def _model_from_v1(lines: list[str]) -> HmmModel:
             if len(cells) != 2:
                 raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
             meta[cells[0]] = (cells[1], line_no)
-            continue
-        if len(cells) != 3:
-            raise ModelFormatError(
-                "probability rows must be 'context<TAB>outcome<TAB>log10-prob'", line_no
-            )
-        context, outcome, logp = cells
+        elif len(cells) != 3:
+            raise ModelFormatError(row_format, line_no)
+        else:
+            yield line_no, section, cells
+
+
+def _model_from_v1(lines: list[str]) -> HmmModel:
+    """Parse v1 probability rows (normalization checked by HmmModel)."""
+    transitions: dict[str, dict[str, float]] = {}
+    emissions: dict[str, dict[str, float]] = {}
+    meta: dict[str, tuple[str, int]] = {}
+    for line_no, section, (context, outcome, logp) in _data_rows(
+        lines, 1, meta, "probability rows must be 'context<TAB>outcome<TAB>log10-prob'"
+    ):
         try:
             prob = 10.0 ** float(logp)
         except (ValueError, OverflowError):
@@ -459,26 +489,9 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
     totals: dict[tuple[str, str], int] = {}
     first_row: dict[tuple[str, str], int] = {}
     meta: dict[str, tuple[str, int]] = {}
-    section = None
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if raw in ("TRANSITIONS", "EMISSIONS", "META"):
-            section = raw
-            continue
-        if section is None:
-            raise ModelFormatError("data before the first section header", line_no)
-        cells = raw.split("\t")
-        if section == "META":
-            if len(cells) != 2:
-                raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
-            meta[cells[0]] = (cells[1], line_no)
-            continue
-        if len(cells) != 3:
-            raise ModelFormatError(
-                "count rows must be 'context<TAB>outcome<TAB>count'", line_no
-            )
-        context, outcome, count = cells
+    for line_no, section, (context, outcome, count) in _data_rows(
+        lines[1:], 2, meta, "count rows must be 'context<TAB>outcome<TAB>count'"
+    ):
         if not (count.isascii() and count.isdigit() and len(count) < 20
                 and 0 < int(count) < _COUNT_LIMIT):
             raise ModelFormatError(f"count {count!r} is not a positive integer", line_no)
@@ -757,31 +770,24 @@ def tag_text(
     """Tokenize, split sentences, and decode each one.
 
     Sentences whose constrained decoding is infeasible fall back to
-    unconstrained decoding and come back flagged.  Output order matches
-    input order regardless of `jobs`.
+    unconstrained decoding and come back flagged.  Decoding runs on one
+    thread, one sentence after another; `jobs` is accepted for
+    compatibility and ignored.
     """
     tokens = tok.tokenize(text, abbreviations)
     if multiwords:
         tokens = tok.merge_multiwords(tokens, text, multiwords)
-    sentences = tok.sentence_split(tokens)
-    prepared = [
-        prepare_sentence(s, model, lexicon, enclitic_split=enclitic_split)
-        for s in sentences
-    ]
-
-    def decode(prep: list[tuple[tok.Token, AmbiguityClass]]) -> TaggedSentence:
+    tagged = []
+    for sentence_tokens in tok.sentence_split(tokens):
+        prep = prepare_sentence(sentence_tokens, model, lexicon, enclitic_split=enclitic_split)
         try:
             tags, _score = viterbi_decode(model, ruleset, prep)
             flagged = False
         except NoValidPath:
             tags, _score = viterbi_decode(model, None, prep)
             flagged = True
-        return TaggedSentence(
+        tagged.append(TaggedSentence(
             pairs=tuple((token, tag) for (token, _cls), tag in zip(prep, tags)),
             fallback=flagged,
-        )
-
-    if jobs > 1 and len(prepared) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(decode, prepared))
-    return [decode(p) for p in prepared]
+        ))
+    return tagged

@@ -323,12 +323,7 @@ def export_tsv(registry: Registry | None = None) -> str:
     attribute is internal to the bundle and not part of this layout.
     """
     registry = registry or load_registry()
-    columns = [
-        "TAG", "CATEGORY", "SUBCATEGORY", "GENDER", "NUMBER", "PERSON",
-        "DEGREE", "VERBCLASS", "TENSE", "MOOD", "DEIXIS", "DIRECTIONALITY",
-        "POLARITY", "PRONFN", "ANIMACY", "CASE", "POLITENESS", "EXISTENTIAL",
-        "DESCRIPTION", "EXAMPLES",
-    ]
+    columns = [c for c in _COLUMNS if c not in ("POSSPOS", "NOTES")]
     layout = [(f, c) for f, c, _e, _v in _FEATURE_SPEC if c in columns]
     out = ["\t".join(columns)]
     for e in registry:

@@ -249,3 +249,45 @@ def test_train_rejects_unknown_symbol_form_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'<unk>' is reserved" in captured.err
+
+
+@pytest.mark.parametrize("constant", ["--kt", "--ke"])
+def test_train_rejects_a_constant_that_underflows_exits_2(tmp_path, gold_file, capsys, constant):
+    argv = ["train", "--corpus", str(gold_file), "--model", str(tmp_path / "m.model")]
+    assert main(argv + [constant, "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{constant[2:]} 1e-320 is too small" in captured.err
+
+
+def test_tag_rejects_a_model_whose_kt_underflows_exits_2(tmp_path, model_file, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa .", encoding="utf-8")
+    text = model_file.read_text(encoding="utf-8")
+    assert "\nkt\t0.5\n" in text
+    model_file.write_text(text.replace("\nkt\t0.5\n", "\nkt\t1e-320\n"), encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kt 1e-320 is too small" in captured.err
+
+
+@pytest.mark.parametrize("name", [
+    "my\tcorpus", "my\ncorpus", "my\u2028corpus", "my\udcffcorpus", "gold\udcff.vrt",
+])
+def test_train_rejects_unstorable_corpus_name_exits_2(tmp_path, capsys, name):
+    """A name from --name, or from a corpus file name that is not UTF-8."""
+    model = tmp_path / "m.model"
+    model.write_text("earlier model\n", encoding="utf-8")
+    if name == "gold\udcff.vrt":
+        corpus = tmp_path / name
+        argv = []
+    else:
+        corpus = tmp_path / "gold.vrt"
+        argv = ["--name", name]
+    corpus.write_text(GOLD, encoding="utf-8")
+    assert main(["train", "--corpus", str(corpus), "--model", str(model)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "corpus name" in captured.err
+    assert model.read_text(encoding="utf-8") == "earlier model\n"

@@ -267,3 +267,92 @@ def test_counts_loader_fuzz_fails_only_with_format_errors():
         loaded += 1
         assert_same_model(model_from_text(model_to_counts_text(reloaded)), reloaded)
     assert loaded > 20 and rejected > 300
+
+
+# ------------------------------------------- the section scan of both formats
+
+def scan_case(lines, case):
+    """Edited lines, expected error line and message of one scan check."""
+    header = lines.index("TRANSITIONS")
+    row = header + 1
+    kt = lines.index("kt\t0.5")
+
+    def replaced(index, line):
+        return lines[:index] + [line] + lines[index + 1:], index + 1
+
+    edited, error_line = {
+        "data-before-header": (lines[:header] + ["<s>\tARTDFS\t3"] + lines[header:], header + 1),
+        "meta-one-cell": replaced(kt, "kt"),
+        "meta-three-cells": replaced(kt, "kt\t0.5\t1"),
+        "row-two-cells": replaced(row, lines[row].rsplit("\t", 1)[0]),
+        "row-four-cells": replaced(row, lines[row] + "\t1"),
+    }[case]
+    message = {
+        "data-before-header": "data before the first section header",
+        "meta-one-cell": "META rows must be 'key<TAB>value'",
+        "meta-three-cells": "META rows must be 'key<TAB>value'",
+    }.get(case, "rows must be 'context<TAB>outcome<TAB>")
+    return edited, error_line, message
+
+
+@pytest.mark.parametrize("case", [
+    "data-before-header", "meta-one-cell", "meta-three-cells", "row-two-cells", "row-four-cells",
+])
+@pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
+def test_section_scan_rejects_bad_layout(toy_corpus, writer, case):
+    """Both formats go through one scan: the same error at the same line."""
+    edited, error_line, message = scan_case(writer(train(toy_corpus)).splitlines(), case)
+    with pytest.raises(ModelFormatError, match=message) as err:
+        model_from_text("\n".join(edited) + "\n")
+    assert err.value.line == error_line
+
+
+@pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
+def test_section_scan_skips_blank_lines(toy_corpus, writer):
+    lines = writer(train(toy_corpus, corpus_name="toy")).splitlines()
+    spaced = [lines[0]] + [part for line in lines[1:] for part in ("", " \t", line)]
+    assert_same_model(model_from_text("\n".join(spaced) + "\n"),
+                      model_from_text("\n".join(lines) + "\n"))
+
+
+def test_v1_loader_fuzz_fails_only_with_format_errors():
+    """Single-line edits of a v1 file either load or raise ModelFormatError."""
+    rng = random.Random(9)
+    lines = model_to_text(train(random_corpus(random.Random(10), n_sentences=3))).splitlines()
+    rejected = 0
+    for _ in range(300):
+        try:
+            model_from_text("\n".join(mutate(rng, lines)) + "\n")
+        except ModelFormatError:
+            rejected += 1
+    assert rejected > 150
+
+
+# ------------------------------------------ zero or subnormal probabilities
+
+@pytest.mark.parametrize("constant", ["kt", "ke"])
+def test_train_rejects_a_constant_that_underflows(toy_corpus, constant):
+    with pytest.raises(ModelFormatError, match=f"{constant} 1e-320 is too small"):
+        train(toy_corpus, **{constant: 1e-320})
+
+
+def test_counts_loader_rejects_a_kt_that_underflows(toy_corpus):
+    lines = toy_counts_lines(toy_corpus)
+    lines[17] = "kt\t1e-320"
+    with pytest.raises(ModelFormatError, match="kt 1e-320 is too small"):
+        model_from_text("\n".join(lines) + "\n")
+
+
+# ----------------------------------------------------------- corpus names
+
+@pytest.mark.parametrize("name", ["my\tcorpus", "my\ncorpus", "my\u2028corpus", "my\udcffcorpus"])
+def test_unstorable_corpus_name_is_rejected(toy_corpus, tmp_path, name):
+    path = tmp_path / "toy.model"
+    path.write_text("earlier model\n", encoding="utf-8")
+    model = train(toy_corpus, corpus_name=name)
+    for writer in (model_to_text, model_to_counts_text):
+        with pytest.raises(TaggingError, match="corpus name"):
+            writer(model)
+    with pytest.raises(TaggingError, match="corpus name"):
+        save_model(model, path)
+    assert path.read_text(encoding="utf-8") == "earlier model\n"
