@@ -28,6 +28,7 @@ from .errors import (
     NoValidPath,
     RegistryError,
     RuleSyntaxError,
+    SmoothingError,
     TaggingError,
     UnknownTag,
     VerticalFormatError,

@@ -90,6 +90,10 @@ class ModelFormatError(TaggingError):
         super().__init__(f"{where}{message}")
 
 
+class SmoothingError(TaggingError, ValueError):
+    """A smoothing constant is not a finite number above 0; also a ValueError."""
+
+
 class VerticalFormatError(TaggingError):
     """A vertical corpus line does not match ``token<TAB>TAG``."""
 

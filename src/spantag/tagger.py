@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bias import RuleSet
 from .errors import (
-    EmptyCorpus, ModelFormatError, NoValidPath, TaggingError, UnknownTag, read_utf8,
+    EmptyCorpus, ModelFormatError, NoValidPath, SmoothingError, TaggingError, UnknownTag, read_utf8,
 )
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
 from .tagset import Tag, load_registry, parse_tag
@@ -66,12 +66,14 @@ class TaggedSentence:
 class HmmModel:
     """Trained (or loaded) bigram HMM.
 
-    `transitions` maps a context code (START or a tag seen in training)
-    to a full probability row over every registry tag plus END;
-    `emissions` maps a tag seen in training to a row over the training
-    vocabulary plus UNKNOWN.  Rows for contexts never seen in training
-    are implicitly uniform.  Each stored row must sum to 1 within 1e-9,
-    and no stored probability or tag prior may be zero or subnormal.
+    Each context code (START or a tag seen in training) has a transition
+    row over every registry tag plus END; each tag seen in training has an
+    emission row over the training vocabulary plus UNKNOWN.  Other rows are
+    implicitly uniform.  A row is stored as ``(unseen, seen)``: `seen` maps
+    outcomes to probabilities, and every other outcome has probability
+    `unseen`, the row's smallest.  The constructor takes full rows, which
+    must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
+    and no probability or tag prior may be zero or subnormal.
     `transition_counts` and `emission_counts` hold the training counts the
     rows were smoothed from; they are empty for a model loaded from a v1
     file or built from rows.
@@ -90,88 +92,72 @@ class HmmModel:
         transition_counts: dict[tuple[str, str], int] | None = None,
         emission_counts: dict[tuple[str, str], int] | None = None,
     ):
-        self.transitions = transitions
-        self.emissions = emissions
+        self.kt = _smoothing_constant("kt", kt)
+        self.ke = _smoothing_constant("ke", ke)
         self.tag_counts = dict(tag_counts)
         self.vocab = frozenset(vocab)
-        self.kt = kt
-        self.ke = ke
         self.corpus_name = corpus_name
         self.token_count = token_count
         self.transition_counts = transition_counts or {}
         self.emission_counts = emission_counts or {}
 
         registry = load_registry()
-        self._n_tags = len(registry)
-        self._uniform_trans = 1.0 / (self._n_tags + 1)
-        self._uniform_emit = 1.0 / (len(self.vocab) + 1)
-        total = sum(self.tag_counts.values())
-        denom = total + kt * self._n_tags
+        self._uniform_trans = (1.0 / (len(registry) + 1), {})
+        self._uniform_emit = (1.0 / (len(self.vocab) + 1), {})
+        denom = sum(self.tag_counts.values()) + kt * len(registry)
         self._priors = {
             code: (self.tag_counts.get(code, 0) + kt) / denom
             for code in registry.codes()
         }
-        self._validate_rows()
-
-    def _validate_rows(self):
         # A zero or subnormal probability makes a log10 or an unknown-word
         # share fail or lose its precision while tagging.
         if min(self._priors.values()) < _MIN_PROB:
             raise ModelFormatError(
-                f"kt {self.kt!r} is too small: a tag prior is zero or subnormal"
+                f"kt {kt!r} is too small: a tag prior is zero or subnormal"
             )
-        registry = load_registry()
-        trans_outcomes = set(registry.codes()) | {END}
-        for context, row in self.transitions.items():
-            if context != START and context not in registry:
-                raise ModelFormatError(f"transition context {context!r} is not a registry tag")
-            if row.keys() != trans_outcomes:
-                raise ModelFormatError(
-                    f"transition row for {context!r} does not cover the registry plus {END}"
-                )
-            total = math.fsum(row.values())
-            if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
-                raise ModelFormatError(
-                    f"transition row for {context!r} sums to {total!r}"
-                )
-            if min(row.values()) < _MIN_PROB:
-                raise ModelFormatError(
-                    f"transition row for {context!r} holds a zero or subnormal "
-                    f"probability (kt {self.kt!r} is too small)"
-                )
-        emit_outcomes = set(self.vocab) | {UNKNOWN}
-        for tag_code, row in self.emissions.items():
-            if tag_code not in registry:
-                raise ModelFormatError(f"emission context {tag_code!r} is not a registry tag")
-            if row.keys() != emit_outcomes:
-                raise ModelFormatError(
-                    f"emission row for {tag_code!r} does not cover the vocabulary plus {UNKNOWN}"
-                )
-            total = math.fsum(row.values())
-            if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
-                raise ModelFormatError(
-                    f"emission row for {tag_code!r} sums to {total!r}"
-                )
-            if min(row.values()) < _MIN_PROB:
-                raise ModelFormatError(
-                    f"emission row for {tag_code!r} holds a zero or subnormal "
-                    f"probability (ke {self.ke!r} is too small)"
-                )
+        codes = set(registry.codes())
+        self._store_rows(
+            _sparse_rows("transition", transitions, codes | {START}, codes | {END},
+                         f"the registry plus {END}"),
+            _sparse_rows("emission", emissions, codes, self.vocab | {UNKNOWN},
+                         f"the vocabulary plus {UNKNOWN}"),
+        )
+
+    def _store_rows(self, transitions, emissions):
+        """Keep ``(unseen, seen)`` rows whose unseen value is normal."""
+        for table, constant, k, rows in (("transition", "kt", self.kt, transitions),
+                                         ("emission", "ke", self.ke, emissions)):
+            for context, (unseen, _seen) in rows.items():
+                if unseen < _MIN_PROB:
+                    raise ModelFormatError(
+                        f"{table} row for {context!r} holds a zero or subnormal "
+                        f"probability ({constant} {k!r} is too small)"
+                    )
+        self._transitions = transitions
+        self._emissions = emissions
+
+    @property
+    def transitions(self) -> dict[str, dict[str, float]]:
+        """Full transition rows over registry order then END, built on access."""
+        return _full_rows(self._transitions, list(load_registry().codes()) + [END])
+
+    @property
+    def emissions(self) -> dict[str, dict[str, float]]:
+        """Full emission rows over sorted forms then UNKNOWN, built on access."""
+        return _full_rows(self._emissions, sorted(self.vocab) + [UNKNOWN])
 
     # ------------------------------------------------------------- scoring
     def transition_logp(self, prev_code: str, next_code: str) -> float:
-        row = self.transitions.get(prev_code)
-        prob = self._uniform_trans if row is None else row[next_code]
-        return math.log10(prob)
+        unseen, seen = self._transitions.get(prev_code, self._uniform_trans)
+        return math.log10(seen.get(next_code, unseen))
 
     def emission_logp(self, tag_code: str, form: str) -> float:
-        row = self.emissions.get(tag_code)
-        prob = self._uniform_emit if row is None else row[form]
-        return math.log10(prob)
+        unseen, seen = self._emissions.get(tag_code, self._uniform_emit)
+        return math.log10(seen.get(form, unseen))
 
     def unknown_prob(self, tag_code: str) -> float:
-        row = self.emissions.get(tag_code)
-        return self._uniform_emit if row is None else row[UNKNOWN]
+        unseen, seen = self._emissions.get(tag_code, self._uniform_emit)
+        return seen.get(UNKNOWN, unseen)
 
     def prior(self, tag_code: str) -> float:
         """Smoothed unigram tag probability from the training counts."""
@@ -185,6 +171,34 @@ class HmmModel:
         if lowered in self.vocab:
             return lowered
         return None
+
+
+def _smoothing_constant(name: str, value: float) -> float:
+    """`value`, checked to be a finite number above 0."""
+    if not 0.0 < value < math.inf:  # also false for nan
+        raise SmoothingError(f"{name} must be a finite number above 0, not {value!r}")
+    return value
+
+
+def _sparse_rows(table: str, rows: dict, contexts: set[str], outcomes: set[str], cover: str):
+    """Check full probability rows and store each as ``(unseen, seen)``:
+    its minimum, and the outcomes whose probability differs from it."""
+    sparse = {}
+    for context, row in rows.items():
+        if context not in contexts:
+            raise ModelFormatError(f"{table} context {context!r} is not a registry tag")
+        if row.keys() != outcomes:
+            raise ModelFormatError(f"{table} row for {context!r} does not cover {cover}")
+        total = math.fsum(row.values())
+        if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
+            raise ModelFormatError(f"{table} row for {context!r} sums to {total!r}")
+        unseen = min(row.values())
+        sparse[context] = (unseen, {o: p for o, p in row.items() if p != unseen})
+    return sparse
+
+
+def _full_rows(rows: dict, outcomes: list[str]) -> dict[str, dict[str, float]]:
+    return {c: {o: seen.get(o, unseen) for o in outcomes} for c, (unseen, seen) in rows.items()}
 
 
 def train(
@@ -201,8 +215,6 @@ def train(
     """
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
-    if kt <= 0 or ke <= 0:
-        raise ValueError("smoothing constants must be positive")
 
     registry = load_registry()
     trans_counts: dict[tuple[str, str], int] = {}
@@ -249,42 +261,34 @@ def _smoothed_model(
 
     `train` and the counts-file loader both build their model here, so a
     saved and reloaded model is bit-identical to the trained one.  Each
-    row starts from the unseen value ``k / denom`` and every seen outcome
-    is then overwritten with ``(n + k) / denom``; ``0 + k`` is exactly
-    ``k``, so every entry is the float ``(n + k) / denom`` for its count.
-    Every transition context other than START and every emission tag
-    must be a key of `tag_counts`.
+    row is ``(k / denom, {outcome: (n + k) / denom})`` over its seen
+    outcomes; ``0 + k`` is exactly ``k``, so every outcome's probability
+    is the float ``(n + k) / denom`` for its count.  Every ``n`` is at
+    least 1, so the unseen value is the row's smallest and needs no
+    search.  Every transition context other than START and every emission
+    tag must be a key of `tag_counts`.
     """
+    vocab = frozenset(form for _code, form in emit_counts)
+    # built first, so that its constructor checks kt and ke before they divide
+    model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, token_count,
+                     trans_counts, emit_counts)
     registry = load_registry()
     seen_tags = [c for c in registry.codes() if c in tag_counts]
-    outcome_codes = list(registry.codes()) + [END]
     context_totals = dict.fromkeys([START] + seen_tags, 0)
     for (prev, _nxt), n in trans_counts.items():
         context_totals[prev] += n
-    trans_denoms = {c: total + kt * len(outcome_codes) for c, total in context_totals.items()}
-    transitions = {c: dict.fromkeys(outcome_codes, kt / d) for c, d in trans_denoms.items()}
+    trans_denoms = {c: total + kt * (len(registry) + 1) for c, total in context_totals.items()}
+    transitions = {c: (kt / d, {}) for c, d in trans_denoms.items()}
     for (prev, nxt), n in trans_counts.items():
-        transitions[prev][nxt] = (n + kt) / trans_denoms[prev]
+        transitions[prev][1][nxt] = (n + kt) / trans_denoms[prev]
 
-    vocab = frozenset(form for _code, form in emit_counts)
-    emit_outcomes = sorted(vocab) + [UNKNOWN]
-    emit_denoms = {c: tag_counts[c] + ke * len(emit_outcomes) for c in seen_tags}
-    emissions = {c: dict.fromkeys(emit_outcomes, ke / d) for c, d in emit_denoms.items()}
+    emit_denoms = {c: tag_counts[c] + ke * (len(vocab) + 1) for c in seen_tags}
+    emissions = {c: (ke / d, {}) for c, d in emit_denoms.items()}
     for (code, form), n in emit_counts.items():
-        emissions[code][form] = (n + ke) / emit_denoms[code]
+        emissions[code][1][form] = (n + ke) / emit_denoms[code]
 
-    return HmmModel(
-        transitions=transitions,
-        emissions=emissions,
-        tag_counts=tag_counts,
-        vocab=vocab,
-        kt=kt,
-        ke=ke,
-        corpus_name=corpus_name,
-        token_count=token_count,
-        transition_counts=trans_counts,
-        emission_counts=emit_counts,
-    )
+    model._store_rows(transitions, emissions)
+    return model
 
 
 # ------------------------------------------------------------------ model IO
@@ -324,16 +328,12 @@ def model_to_text(model: HmmModel) -> str:
     sparse per-tag training counts needed to rebuild tag priors.
     """
     order = _registry_order()
-    lines = ["TRANSITIONS"]
-    for context in sorted(model.transitions, key=order.__getitem__):
-        row = model.transitions[context]
-        for outcome in sorted(row, key=order.__getitem__):
-            lines.append(f"{context}\t{outcome}\t{math.log10(row[outcome])!r}")
-    lines.append("EMISSIONS")
-    for tag_code in sorted(model.emissions, key=order.__getitem__):
-        row = model.emissions[tag_code]
-        for outcome in sorted(row, key=lambda w: (w == UNKNOWN, w)):
-            lines.append(f"{tag_code}\t{outcome}\t{math.log10(row[outcome])!r}")
+    lines = []
+    for section, rows in (("TRANSITIONS", model.transitions), ("EMISSIONS", model.emissions)):
+        lines.append(section)
+        for context in sorted(rows, key=order.__getitem__):
+            for outcome, prob in rows[context].items():
+                lines.append(f"{context}\t{outcome}\t{math.log10(prob)!r}")
     lines += _meta_lines(model, order)
     return "\n".join(lines) + "\n"
 
@@ -370,13 +370,6 @@ def save_model(model: HmmModel, path: str | Path):
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def _smoothing_constant(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError(text)
-    return value
-
-
 def _count(text: str) -> int:
     value = int(text)
     if not 0 <= value < _COUNT_LIMIT:
@@ -396,8 +389,8 @@ def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[s
         except ValueError:
             raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
 
-    kt = meta_number("kt", _smoothing_constant)
-    ke = meta_number("ke", _smoothing_constant)
+    kt = meta_number("kt", lambda text: _smoothing_constant("kt", float(text)))
+    ke = meta_number("ke", lambda text: _smoothing_constant("ke", float(text)))
     tag_counts = {}
     for key, (_value, line_no) in meta.items():
         if key.startswith("count."):

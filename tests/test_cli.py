@@ -1,6 +1,7 @@
 """Exit-code contract and output shape of the command-line interface."""
 
 import io
+import random
 import sys
 
 import pytest
@@ -260,6 +261,20 @@ def test_train_rejects_a_constant_that_underflows_exits_2(tmp_path, gold_file, c
     assert f"{constant[2:]} 1e-320 is too small" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("constant", ["--kt", "--ke"])
+def test_train_rejects_a_constant_not_finite_above_0_exits_2(
+    tmp_path, gold_file, capsys, constant, value
+):
+    model = tmp_path / "m.model"
+    argv = ["train", "--corpus", str(gold_file), "--model", str(model), constant, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{constant[2:]} must be a finite number above 0" in captured.err
+    assert not model.exists()
+
+
 def test_tag_rejects_a_model_whose_kt_underflows_exits_2(tmp_path, model_file, capsys):
     src = tmp_path / "in.txt"
     src.write_text("La mesa .", encoding="utf-8")
@@ -291,3 +306,76 @@ def test_train_rejects_unstorable_corpus_name_exits_2(tmp_path, capsys, name):
     assert captured.out == ""
     assert "corpus name" in captured.err
     assert model.read_text(encoding="utf-8") == "earlier model\n"
+
+
+# ------------------------------------------------------------ input fuzz
+
+FUZZ_FILES = {
+    "lexicon": "# forms\nmesa\tNCFS\nmano\tNCFS,VLPI3S\ngrande\tADJGFS\nsin embargo\tADVN\n",
+    "rules": "# rules\nFORBID ARTDFS VL*\nREQUIRE ART?FS NC?S\nFORBID ADJG?? ADJ*\n",
+    "abbrev": "# abbreviations\nSra.\ncta.\n",
+    "multiwords": "# multiwords\nsin embargo\na pesar de\n",
+    "vertical": GOLD + "#FALLBACK\nsin embargo\tADVN\n,\t,\ncome\tVLPI3S\n.\t.\n\n",
+}
+FUZZ_PIECES = ("", "", "\t", ",", " ", "*", "#", "FORBID", "NCFS", "BADTAG", "<unk>", "ñ\x00")
+
+
+def mutate_line(rng, text):
+    """One single-line edit: drop, repeat, cut or splice a line, replace a
+    tab-, space- or comma-separated part, or insert a line of fragments."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    kind = rng.randrange(6)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, line)
+    elif kind == 2 and line:
+        k = rng.randrange(len(line))
+        lines[i] = line[:k] + line[k + 1:]
+    elif kind == 3:
+        k = rng.randrange(len(line) + 1)
+        lines[i] = line[:k] + rng.choice(FUZZ_PIECES) + line[k:]
+    elif kind == 4:
+        sep = rng.choice(("\t", " ", ","))
+        parts = line.split(sep)
+        parts[rng.randrange(len(parts))] = rng.choice(FUZZ_PIECES)
+        lines[i] = sep.join(parts)
+    else:
+        lines.insert(i, rng.choice(FUZZ_PIECES) + rng.choice(("", "\t", " ")) + rng.choice(FUZZ_PIECES))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", FUZZ_FILES)
+def test_input_file_fuzz_exits_cleanly(tmp_path, model_file, capsys, kind):
+    """Seeded single-line edits of each input file, run through every
+    command that reads it, give exit 0, 1 or 2 and no traceback."""
+    files = {name: tmp_path / f"{name}.txt" for name in FUZZ_FILES}
+    for name, text in FUZZ_FILES.items():
+        files[name].write_text(text, encoding="utf-8")
+    src = tmp_path / "in.txt"
+    src.write_text(
+        "La Sra. mesa, sin embargo, come bien. ¿Dónde está la mano grande? "
+        "A pesar de todo, dámelo cta. 12 .\n",
+        encoding="utf-8",
+    )
+    tag = ["tag", str(src), "--model", str(model_file)]
+    lex, rules, vertical = (str(files[name]) for name in ("lexicon", "rules", "vertical"))
+    commands = {
+        "lexicon": [tag + ["--lexicon", lex],
+                    ["eval", "--gold", vertical, "--pred", vertical, "--lexicon", lex]],
+        "rules": [tag + ["--rules", rules], ["validate", vertical, "--rules", rules]],
+        "abbrev": [tag + ["--abbrev", str(files["abbrev"])]],
+        "multiwords": [tag + ["--multiwords", str(files["multiwords"])]],
+        "vertical": [["train", "--corpus", vertical, "--model", str(tmp_path / "new.model")],
+                     ["validate", vertical], ["eval", "--gold", vertical, "--pred", vertical]],
+    }[kind]
+    rng = random.Random(f"cli-fuzz:{kind}")
+    codes = set()
+    for _ in range(100):
+        files[kind].write_text(mutate_line(rng, FUZZ_FILES[kind]), encoding="utf-8")
+        for argv in commands:
+            codes.add(main(argv))
+            capsys.readouterr()
+    assert codes <= {0, 1, 2}

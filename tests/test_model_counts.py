@@ -1,11 +1,12 @@
 """The counts model file: exact round trip, v1 compatibility, loader checks."""
 
+import math
 import random
 
 import pytest
 
 from spantag.corpus_io import VerticalDocument, format_vertical
-from spantag.errors import ModelFormatError, TaggingError
+from spantag.errors import ModelFormatError, SmoothingError, TaggingError
 from spantag.lexicon import seed_lexicon
 from spantag.tagger import (
     COUNTS_MARKER,
@@ -356,3 +357,102 @@ def test_unstorable_corpus_name_is_rejected(toy_corpus, tmp_path, name):
     with pytest.raises(TaggingError, match="corpus name"):
         save_model(model, path)
     assert path.read_text(encoding="utf-8") == "earlier model\n"
+
+
+# ------------------------------------------------------ stored row form
+
+def full_rows(rng, shape, contexts, outcomes):
+    """Rows over `outcomes` that sum to 1: all values distinct, add-k shaped
+    (one shared smallest value and a few larger ones), or with ties among
+    the values above the smallest."""
+    rows = {}
+    for context in contexts:
+        if shape == "distinct":
+            weights = [rng.uniform(0.05, 1.0) for _ in outcomes]
+        elif shape == "add-k":
+            weights = [rng.randrange(1, 6) + 0.5 if rng.random() < 0.1 else 0.5 for _ in outcomes]
+        else:
+            weights = [rng.choice((1.0, 2.0, 2.0, 3.0)) for _ in outcomes]
+        total = math.fsum(weights)
+        rows[context] = {o: w / total for o, w in zip(outcomes, weights)}
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["distinct", "add-k", "ties"])
+def test_full_rows_come_back_unchanged(shape):
+    """Rows given to HmmModel come back from `transitions`/`emissions` with
+    the same floats in the same order, and survive a v1 text round trip."""
+    rng = random.Random(shape)
+    vocab = sorted({f"w{i}" for i in range(30)} | {"la", "Mesa", "ñu", "é"})
+    transitions = full_rows(rng, shape, (START,) + TAG_POOL, list(load_registry().codes()) + [END])
+    emissions = full_rows(rng, shape, TAG_POOL, vocab + [UNKNOWN])
+    if shape == "ties":  # hundreds of outcomes over three values
+        assert len(set(transitions[START].values())) == 3
+    model = HmmModel(
+        transitions=transitions, emissions=emissions, tag_counts={c: 2 for c in TAG_POOL},
+        vocab=frozenset(vocab), kt=0.5, ke=0.1,
+    )
+    for got, want in ((model.transitions, transitions), (model.emissions, emissions)):
+        assert [(c, list(row.items())) for c, row in got.items()] == [
+            (c, list(row.items())) for c, row in want.items()
+        ]
+    text = model_to_text(model)
+    assert model_to_text(model_from_text(text)) == text
+
+
+@pytest.mark.parametrize("source", ["trained", "full-rows"])
+def test_scores_read_the_stored_rows(source):
+    """Every log-probability the decoder reads is the log10 of its row's
+    value, seen or not; contexts without a row are uniform."""
+    model = train(random_corpus(random.Random(12)), kt=0.3, ke=0.07)
+    if source == "full-rows":
+        rng = random.Random(13)
+        model = HmmModel(
+            transitions=full_rows(rng, "distinct", [START, "NCFS"], list(model.transitions[START])),
+            emissions=full_rows(rng, "distinct", ["NCFS"], sorted(model.vocab) + [UNKNOWN]),
+            tag_counts=model.tag_counts, vocab=model.vocab, kt=0.3, ke=0.07,
+        )
+    for context, row in model.transitions.items():
+        assert [model.transition_logp(context, o) for o in row] == [math.log10(p) for p in row.values()]
+    for code, row in model.emissions.items():
+        assert [model.emission_logp(code, f) for f in row] == [math.log10(p) for p in row.values()]
+        assert model.unknown_prob(code) == row[UNKNOWN]
+    n_outcomes = len(load_registry()) + 1
+    assert model.transition_logp("NCMS", END) == math.log10(1 / n_outcomes)
+    assert model.unknown_prob("NCMS") == 1 / (len(model.vocab) + 1)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-320])
+def test_full_row_with_a_zero_or_subnormal_value_is_rejected(toy_corpus, value):
+    """The row still sums to 1: the lost mass moved to another outcome."""
+    model = train(toy_corpus)
+    transitions = model.transitions
+    row = transitions["ARTDFS"]
+    row["NCFS"] += row["NCMS"] - value
+    row["NCMS"] = value
+    with pytest.raises(ModelFormatError, match="'ARTDFS' holds a zero or subnormal"):
+        HmmModel(transitions=transitions, emissions=model.emissions, tag_counts=model.tag_counts,
+                 vocab=model.vocab, kt=model.kt, ke=model.ke)
+
+
+def test_counts_model_stores_only_seen_pairs():
+    """A trained model keeps one probability per seen pair and one unseen
+    value per row, however large the registry and the vocabulary."""
+    model = train(random_corpus(random.Random(11)))
+    stored = [seen for _unseen, seen in model._transitions.values()]
+    assert sum(map(len, stored)) == len(model.transition_counts)
+    stored = [seen for _unseen, seen in model._emissions.values()]
+    assert sum(map(len, stored)) == len(model.emission_counts)
+
+
+# ------------------------------------------------------- smoothing constants
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("constant", ["kt", "ke"])
+def test_train_and_constructor_reject_a_bad_constant(toy_corpus, constant, value):
+    message = f"{constant} must be a finite number above 0"
+    with pytest.raises(SmoothingError, match=message):
+        train(toy_corpus, **{constant: value})
+    with pytest.raises(SmoothingError, match=message):
+        HmmModel(transitions={}, emissions={}, tag_counts={}, vocab=frozenset(),
+                 **{"kt": 0.5, "ke": 0.1, constant: value})
