@@ -114,11 +114,12 @@ class AlignmentError(TaggingError):
 @contextmanager
 def utf8_decoding(name: str):
     """Turn a UTF-8 decode failure inside the block into a TaggingError
-    that names the input."""
+    that names the input and the 1-based line of the first bad byte."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise TaggingError(f"{name} is not valid UTF-8: {exc}") from None
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise TaggingError(f"{name} is not valid UTF-8 at line {line}: {exc}") from None
 
 
 def read_utf8(path: str | Path) -> str:

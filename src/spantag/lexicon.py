@@ -10,7 +10,7 @@ always a union, so loading more data never removes a reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,10 +36,13 @@ class AmbiguityClass:
     """Non-empty set of admissible tags for a wordform."""
 
     tags: frozenset[Tag]
+    # the members in registry order, fixed when the class is built
+    _ordered: tuple[Tag, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.tags:
             raise ValueError("ambiguity class must not be empty")
+        object.__setattr__(self, "_ordered", tuple(sorted(self.tags, key=load_registry().index)))
 
     @classmethod
     def of(cls, *codes: str) -> "AmbiguityClass":
@@ -47,8 +50,7 @@ class AmbiguityClass:
 
     def sorted_tags(self) -> tuple[Tag, ...]:
         """Members in registry order (the canonical ordering)."""
-        registry = load_registry()
-        return tuple(sorted(self.tags, key=registry.index))
+        return self._ordered
 
     def codes(self) -> tuple[str, ...]:
         return tuple(t.code for t in self.sorted_tags())

@@ -73,7 +73,8 @@ class HmmModel:
     outcomes to probabilities, and every other outcome has probability
     `unseen`, the row's smallest.  The constructor takes full rows, which
     must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
-    and no probability or tag prior may be zero or subnormal.
+    no add-k denominator may overflow, and no probability or tag prior may
+    be zero or subnormal.
     `transition_counts` and `emission_counts` hold the training counts the
     rows were smoothed from; they are empty for a model loaded from a v1
     file or built from rows.
@@ -104,7 +105,7 @@ class HmmModel:
         registry = load_registry()
         self._uniform_trans = (1.0 / (len(registry) + 1), {})
         self._uniform_emit = (1.0 / (len(self.vocab) + 1), {})
-        denom = sum(self.tag_counts.values()) + kt * len(registry)
+        denom = _add_k_denominator("kt", kt, sum(self.tag_counts.values()), len(registry))
         self._priors = {
             code: (self.tag_counts.get(code, 0) + kt) / denom
             for code in registry.codes()
@@ -178,6 +179,14 @@ def _smoothing_constant(name: str, value: float) -> float:
     if not 0.0 < value < math.inf:  # also false for nan
         raise SmoothingError(f"{name} must be a finite number above 0, not {value!r}")
     return value
+
+
+def _add_k_denominator(name: str, k: float, total: int, n_outcomes: int) -> float:
+    """``total + k * n_outcomes``, checked not to overflow."""
+    denom = total + k * n_outcomes
+    if denom == math.inf:
+        raise ModelFormatError(f"{name} {k!r} is too large: an add-k denominator overflows")
+    return denom
 
 
 def _sparse_rows(table: str, rows: dict, contexts: set[str], outcomes: set[str], cover: str):
@@ -277,12 +286,14 @@ def _smoothed_model(
     context_totals = dict.fromkeys([START] + seen_tags, 0)
     for (prev, _nxt), n in trans_counts.items():
         context_totals[prev] += n
-    trans_denoms = {c: total + kt * (len(registry) + 1) for c, total in context_totals.items()}
+    trans_denoms = {c: _add_k_denominator("kt", kt, total, len(registry) + 1)
+                    for c, total in context_totals.items()}
     transitions = {c: (kt / d, {}) for c, d in trans_denoms.items()}
     for (prev, nxt), n in trans_counts.items():
         transitions[prev][1][nxt] = (n + kt) / trans_denoms[prev]
 
-    emit_denoms = {c: tag_counts[c] + ke * (len(vocab) + 1) for c in seen_tags}
+    emit_denoms = {c: _add_k_denominator("ke", ke, tag_counts[c], len(vocab) + 1)
+                   for c in seen_tags}
     emissions = {c: (ke / d, {}) for c, d in emit_denoms.items()}
     for (code, form), n in emit_counts.items():
         emissions[code][1][form] = (n + ke) / emit_denoms[code]
@@ -645,9 +656,6 @@ def viterbi_decode(
         return [], 0.0
     emits = emission_scores(model, sentence)
     layers = [cls.sorted_tags() for _tok, cls in sentence]
-    for position, layer in enumerate(layers):
-        if not layer:
-            raise ValueError(f"empty candidate set at position {position}")
 
     # Per layer, state j (the j-th tag in registry order) keeps the score of
     # its best path (None when no allowed path reaches it), a backpointer to

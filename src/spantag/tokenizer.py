@@ -113,60 +113,41 @@ def _is_punct_char(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
-def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Token]:
-    """Segment text into tokens with byte spans.
+# Kind of each `_TOKEN_RE` group but `other`, which is punctuation or a word.
+_GROUP_KINDS = {"ellipsis": KIND_PUNCTUATION, "code": KIND_CODE,
+                "number": KIND_NUMBER, "word": KIND_WORD}
 
-    Punctuation marks (including inverted marks and the three-dot
-    ellipsis) are separate tokens; listed abbreviations keep their
-    trailing period; numbers and hyphenated number ranges are single
-    tokens; alphanumeric codes are single tokens of kind "code".
-    Unknown symbols become plain word tokens, so the function is total.
+
+def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Token]:
+    """Segment text into tokens with byte spans into its UTF-8 encoding.
+
+    A single pass over the regex matches classifies each token, keeps the
+    byte offset, and folds a period into the touching word before it when
+    the two form a listed abbreviation.  Punctuation marks (including
+    inverted marks and the three-dot ellipsis) are separate tokens;
+    numbers and hyphenated number ranges are single tokens; alphanumeric
+    codes are single tokens of kind "code".  Unknown symbols become plain
+    word tokens, so the function is total.
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
-
-    raw: list[tuple[str, int, int, str]] = []  # surface, char start/end, kind
+    tokens: list[Token] = []
+    char_pos = byte_pos = 0
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
         surface = m.group()
-        if kind == "ellipsis":
-            tok_kind = KIND_PUNCTUATION
-        elif kind == "code":
-            tok_kind = KIND_CODE
-        elif kind == "number":
-            tok_kind = KIND_NUMBER
-        elif kind == "word":
-            tok_kind = KIND_WORD
-        else:
-            tok_kind = KIND_PUNCTUATION if _is_punct_char(surface) else KIND_WORD
-        raw.append((surface, m.start(), m.end(), tok_kind))
-
-    merged: list[tuple[str, int, int, str]] = []
-    i = 0
-    while i < len(raw):
-        surface, start, end, kind = raw[i]
-        if (
-            kind == KIND_WORD
-            and i + 1 < len(raw)
-            and raw[i + 1][0] == "."
-            and raw[i + 1][1] == end
-            and surface + "." in abbreviations
-        ):
-            merged.append((surface + ".", start, raw[i + 1][2], KIND_ABBREVIATION))
-            i += 2
-        else:
-            merged.append((surface, start, end, kind))
-            i += 1
-
-    tokens = []
-    char_pos = 0
-    byte_pos = 0
-    for surface, start, end, kind in merged:
-        byte_pos += len(text[char_pos:start].encode("utf-8"))
-        byte_start = byte_pos
-        byte_pos += len(text[start:end].encode("utf-8"))
-        char_pos = end
-        tokens.append(Token(surface=surface, span=(byte_start, byte_pos), kind=kind))
+        start = byte_pos + len(text[char_pos:m.start()].encode("utf-8"))
+        byte_pos = start + len(surface.encode("utf-8"))
+        char_pos = m.end()
+        if surface == "." and tokens:
+            prev = tokens[-1]
+            if (prev.kind == KIND_WORD and prev.span[1] == start
+                    and prev.surface + "." in abbreviations):
+                tokens[-1] = Token(prev.surface + ".", (prev.span[0], byte_pos), KIND_ABBREVIATION)
+                continue
+        kind = _GROUP_KINDS.get(m.lastgroup)
+        if kind is None:
+            kind = KIND_PUNCTUATION if _is_punct_char(surface) else KIND_WORD
+        tokens.append(Token(surface, (start, byte_pos), kind))
     return tokens
 
 

@@ -1,11 +1,15 @@
 """Exit-code contract and output shape of the command-line interface."""
 
 import io
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spantag
 from spantag.cli import main
 from spantag.tagset import REGISTRY_SIZE
 
@@ -207,6 +211,30 @@ def test_non_utf8_input_exits_2(tmp_path, model_file, capsys, monkeypatch, comma
     assert ("standard input" if source == "stdin" else str(src)) in captured.err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_names_the_line_past_the_first_read_chunk(tmp_path, capsys, source):
+    """The bad byte sits past the first 8 KiB, so its line is counted over
+    the whole input and not only over the chunk that failed to decode."""
+    data = "la mesa .\n".encode("utf-8") * 1000 + b"una \xffmesa .\nla mano .\n"
+    assert len(data) > 8192
+    src = tmp_path / "in.txt"
+    src.write_bytes(data)
+    if source == "file":
+        assert main(["tokenize", str(src)]) == 2
+        err = capsys.readouterr().err
+    else:
+        script = "import sys; from spantag.cli import main; sys.exit(main(['tokenize', '-']))"
+        run = subprocess.run(
+            [sys.executable, "-c", script], input=data, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1])},
+        )
+        assert run.returncode == 2
+        assert run.stdout == b""
+        err = run.stderr.decode("utf-8")
+    assert "not valid UTF-8 at line 1001:" in err
+    assert ("standard input" if source == "stdin" else str(src)) in err
+
+
 @pytest.mark.parametrize("bad", [
     "lexicon", "rules", "abbrev", "multiwords", "model", "validate", "train", "eval",
 ])
@@ -285,6 +313,37 @@ def test_tag_rejects_a_model_whose_kt_underflows_exits_2(tmp_path, model_file, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "kt 1e-320 is too small" in captured.err
+
+
+@pytest.mark.parametrize("constant", ["--kt", "--ke"])
+def test_train_rejects_a_constant_that_overflows_exits_2(tmp_path, gold_file, capsys, constant):
+    model = tmp_path / "m.model"
+    argv = ["train", "--corpus", str(gold_file), "--model", str(model), constant, "1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{constant[2:]} 1e+308 is too large" in captured.err
+    assert not model.exists()
+
+
+def test_tag_rejects_a_model_whose_kt_overflows_exits_2(tmp_path, model_file, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa .", encoding="utf-8")
+    text = model_file.read_text(encoding="utf-8")
+    model_file.write_text(text.replace("\nkt\t0.5\n", "\nkt\t1e308\n"), encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kt 1e+308 is too large" in captured.err
+
+
+def test_train_with_a_large_constant_that_fits_exits_0(tmp_path, gold_file, capsys):
+    model = tmp_path / "m.model"
+    argv = ["train", "--corpus", str(gold_file), "--model", str(model), "--kt", "1e300"]
+    assert main(argv) == 0
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa .", encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model)]) == 0
 
 
 @pytest.mark.parametrize("name", [

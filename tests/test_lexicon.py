@@ -29,6 +29,19 @@ def test_ambiguity_class_registry_order():
     assert cls.signature() == "CSUBI,PAL"
 
 
+def test_ambiguity_class_order_is_fixed_without_changing_equality():
+    registry = load_registry()
+    rng = random.Random(5)
+    for _ in range(200):
+        tags = frozenset(rng.sample([e.tag for e in registry], rng.randrange(1, 8)))
+        cls = AmbiguityClass(tags)
+        assert cls.sorted_tags() == tuple(sorted(tags, key=registry.index))
+        assert tuple(cls) == cls.sorted_tags()
+        same = AmbiguityClass(frozenset(reversed(cls.sorted_tags())))
+        assert same == cls and hash(same) == hash(cls)
+        assert repr(cls) == f"AmbiguityClass(tags={tags!r})"
+
+
 def test_load_simple_entry(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("mesa\tNCFS\n", encoding="utf-8")

@@ -344,6 +344,26 @@ def test_counts_loader_rejects_a_kt_that_underflows(toy_corpus):
         model_from_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("constant", ["kt", "ke"])
+def test_train_rejects_a_constant_that_overflows(toy_corpus, constant):
+    with pytest.raises(ModelFormatError, match=rf"{constant} 1e\+308 is too large"):
+        train(toy_corpus, **{constant: 1e308})
+
+
+@pytest.mark.parametrize("constant", ["kt", "ke"])
+def test_counts_loader_rejects_a_constant_that_overflows(toy_corpus, constant):
+    lines = toy_counts_lines(toy_corpus)
+    lines[lines.index(f"{constant}\t{0.5 if constant == 'kt' else 0.1}")] = f"{constant}\t1e308"
+    with pytest.raises(ModelFormatError, match=rf"{constant} 1e\+308 is too large"):
+        model_from_text("\n".join(lines) + "\n")
+
+
+def test_large_constants_that_do_not_overflow_still_train(toy_corpus):
+    model = train(toy_corpus, kt=1e300, ke=1e300)
+    assert_same_model(model_from_text(model_to_counts_text(model)), model)
+    assert math.isclose(model.prior("NCFS"), 1 / len(load_registry()))
+
+
 # ----------------------------------------------------------- corpus names
 
 @pytest.mark.parametrize("name", ["my\tcorpus", "my\ncorpus", "my\u2028corpus", "my\udcffcorpus"])
