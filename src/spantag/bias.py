@@ -7,12 +7,14 @@ left pattern matches a tag, its successor matches the right pattern
 (the sentence-final position is exempt because it has no successor).
 
 Constraints intersect, so evaluation is order independent and adding a
-rule can only shrink the allowed relation.  The rule set compiles to a
-forbidden-pair table over the registry for constant-time queries.
+rule can only shrink the allowed relation.  Patterns are shell-style
+globs, and a rule set compiles, when it is built, to a banned-pair table
+over the registry for constant-time queries.
 """
 
 from __future__ import annotations
 
+import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,12 +26,14 @@ REQUIRE = "require"
 
 # Literal characters a pattern may use: the alphabet of registry codes.
 # "?" is the single-character wildcard, a trailing "*" matches any suffix.
+# None of them is special to fnmatch ("[" is left out), so a pattern is a
+# shell-style glob with exactly these meanings.
 _LITERAL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" + '!"(),-.:;')
 
 
 @dataclass(frozen=True)
 class TagPattern:
-    """Wildcard pattern over tag codes."""
+    """Shell-style glob over tag codes."""
 
     pattern: str
 
@@ -44,16 +48,7 @@ class TagPattern:
             raise BadPattern(self.pattern, f"invalid character {bad[0]!r}")
 
     def matches(self, code: str) -> bool:
-        pattern = self.pattern
-        if pattern.endswith("*"):
-            prefix = pattern[:-1]
-            if len(code) < len(prefix):
-                return False
-            code = code[: len(prefix)]
-            pattern = prefix
-        elif len(code) != len(pattern):
-            return False
-        return all(p == "?" or p == c for p, c in zip(pattern, code))
+        return fnmatch.fnmatchcase(code, self.pattern)
 
 
 @dataclass(frozen=True)
@@ -71,39 +66,28 @@ class BiasRule:
 
 
 class RuleSet:
-    """Immutable ordered collection of bias rules."""
+    """Immutable ordered collection of bias rules, with its banned-pair
+    table: left code -> frozenset of the right codes that may not follow."""
 
     def __init__(self, rules: tuple[BiasRule, ...]):
         self.rules = tuple(rules)
-        self._forbidden: dict[str, frozenset[str]] | None = None
+        banned: dict[str, set[str]] = {}
+        codes = load_registry().codes() if self.rules else ()  # no rules: no registry
+        for rule in self.rules:
+            rights = set(fnmatch.filter(codes, rule.right.pattern))
+            if rule.kind == REQUIRE:
+                rights = set(codes) - rights
+            if rights:
+                for left_code in fnmatch.filter(codes, rule.left.pattern):
+                    banned.setdefault(left_code, set()).update(rights)
+        self.banned = {k: frozenset(v) for k, v in banned.items()}
 
     def __len__(self) -> int:
         return len(self.rules)
 
-    def _compiled(self) -> dict[str, frozenset[str]]:
-        """Forbidden-pair table over the full registry (built lazily)."""
-        if self._forbidden is None:
-            codes = load_registry().codes()
-            banned: dict[str, set[str]] = {}
-            for rule in self.rules:
-                lefts = [c for c in codes if rule.left.matches(c)]
-                if not lefts:
-                    continue
-                if rule.kind == FORBID:
-                    rights = {c for c in codes if rule.right.matches(c)}
-                else:
-                    rights = {c for c in codes if not rule.right.matches(c)}
-                if not rights:
-                    continue
-                for left_code in lefts:
-                    banned.setdefault(left_code, set()).update(rights)
-            self._forbidden = {k: frozenset(v) for k, v in banned.items()}
-        return self._forbidden
-
     def allowed(self, t1: Tag, t2: Tag) -> bool:
         """May t2 immediately follow t1?"""
-        banned = self._compiled().get(t1.code)
-        return banned is None or t2.code not in banned
+        return t2.code not in self.banned.get(t1.code, ())
 
     def first_violation(self, t1: Tag, t2: Tag) -> BiasRule | None:
         """The first rule (in file order) rejecting the pair, if any."""

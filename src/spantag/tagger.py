@@ -654,8 +654,13 @@ def viterbi_decode(
     """
     if not sentence:
         return [], 0.0
-    emits = emission_scores(model, sentence)
-    layers = [cls.sorted_tags() for _tok, cls in sentence]
+    tags = [cls.sorted_tags() for _tok, cls in sentence]
+    # The lattice runs START -> one layer per token -> END.  START and END
+    # hold one state each, emit with log-probability 0.0 and are never keys
+    # of the banned-pair table, so they are never constrained.
+    layers = [[START], *([t.code for t in layer] for layer in tags), [END]]
+    emits = [{START: 0.0}, *emission_scores(model, sentence), {END: 0.0}]
+    banned = ruleset.banned if ruleset is not None else {}
 
     # Per layer, state j (the j-th tag in registry order) keeps the score of
     # its best path (None when no allowed path reaches it), a backpointer to
@@ -664,27 +669,23 @@ def viterbi_decode(
     # follows from (predecessor's rank, registry index), so comparing
     # predecessor ranks on equal scores picks the lexicographically
     # smallest prefix without storing prefixes.
-    scores: list[float | None] = [
-        model.transition_logp(START, t.code) + emits[0][t.code] for t in layers[0]
-    ]
-    rank = list(range(len(layers[0])))
+    scores: list[float | None] = [0.0]
+    rank = [0]
     backpointers: list[list[int]] = []
-
     for i in range(1, len(layers)):
         prev_layer = layers[i - 1]
+        prev_bans = [banned.get(p, ()) for p in prev_layer]
         next_scores: list[float | None] = []
         back: list[int] = []
         for t in layers[i]:
-            emit_lp = emits[i][t.code]
+            emit_lp = emits[i][t]
             best_score = None
             best_j = -1
             for j, p in enumerate(prev_layer):
                 prev_score = scores[j]
-                if prev_score is None:
+                if prev_score is None or t in prev_bans[j]:
                     continue
-                if ruleset is not None and not ruleset.allowed(p, t):
-                    continue
-                score = prev_score + model.transition_logp(p.code, t.code) + emit_lp
+                score = prev_score + model.transition_logp(p, t) + emit_lp
                 if (
                     best_j < 0
                     or score > best_score
@@ -695,7 +696,7 @@ def viterbi_decode(
             back.append(best_j)
         live = [k for k, j in enumerate(back) if j >= 0]
         if not live:
-            raise NoValidPath(i)
+            raise NoValidPath(i - 1)
         live.sort(key=lambda k: (rank[back[k]], k))
         rank = [0] * len(back)
         for r, k in enumerate(live):
@@ -703,25 +704,14 @@ def viterbi_decode(
         scores = next_scores
         backpointers.append(back)
 
-    final_score = None
-    final_k = -1
-    for k, t in enumerate(layers[-1]):
-        if scores[k] is None:
-            continue
-        score = scores[k] + model.transition_logp(t.code, END)
-        if (
-            final_k < 0
-            or score > final_score
-            or (score == final_score and rank[k] < rank[final_k])
-        ):
-            final_score, final_k = score, k
-    path = [layers[-1][final_k]]
-    k = final_k
-    for i in range(len(layers) - 1, 0, -1):
+    # Follow the backpointers from END's one state to the first token.
+    path = []
+    k = 0
+    for i in range(len(layers) - 1, 1, -1):
         k = backpointers[i - 1][k]
-        path.append(layers[i - 1][k])
+        path.append(tags[i - 2][k])
     path.reverse()
-    return path, final_score
+    return path, scores[0]
 
 
 # ----------------------------------------------------------------- pipeline

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import read_utf8
+from .errors import TaggingError, read_utf8
 from .lexicon import Lexicon
 from .tagset import Tag, decompose, load_registry, parse_tag
 
@@ -88,24 +88,44 @@ def default_abbreviations() -> frozenset[str]:
     return frozenset(forms)
 
 
+def _entries(path: str | Path):
+    """(line number, entry) per non-blank, non-``#`` line, spaces collapsed."""
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
+        line = " ".join(raw.split())
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _is_one_word(text: str) -> bool:
+    tokens = tokenize(text, frozenset())
+    return len(tokens) == 1 and tokens[0].kind == KIND_WORD and tokens[0].surface == text
+
+
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """User abbreviation file (one surface per line, ``#`` comments),
-    unioned with the built-in list."""
+    unioned with the built-in list.  Tokenizing merges only one word and
+    a final ``.``, so any other entry raises a TaggingError."""
     forms = set(default_abbreviations())
-    for raw in read_utf8(path).splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            forms.add(line)
+    for line_no, line in _entries(path):
+        if not (line.endswith(".") and _is_one_word(line[:-1])):
+            raise TaggingError(
+                f"{path}: line {line_no}: abbreviation {line!r} is not one word followed by '.'")
+        forms.add(line)
     return frozenset(forms)
 
 
 def load_multiwords(path: str | Path) -> tuple[str, ...]:
-    """Multiword file: one space-separated multiword expression per line."""
+    """Multiword file: one space-separated multiword expression per line.
+    Only two or more word tokens merge, so any other entry raises a
+    TaggingError."""
     out = []
-    for raw in read_utf8(path).splitlines():
-        line = " ".join(raw.split())
-        if line and not line.startswith("#"):
-            out.append(line)
+    for line_no, line in _entries(path):
+        words = line.split(" ")
+        bad = [w for w in words if not _is_one_word(w)]
+        if bad or len(words) < 2:
+            problem = f"{bad[0]!r} is not one word" if bad else "needs two or more words"
+            raise TaggingError(f"{path}: line {line_no}: multiword {line!r}: {problem}")
+        out.append(line)
     return tuple(out)
 
 

@@ -1,9 +1,14 @@
 """Bias rule parsing, matching, and compiled-table equivalence."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spantag
 from spantag.bias import (
     EMPTY_RULESET,
     TagPattern,
@@ -163,6 +168,19 @@ def random_rule_lines(rng, codes, n_rules):
     return lines
 
 
+def test_pattern_matching_equals_naive_full_registry():
+    codes = load_registry().codes()
+    rng = random.Random(11)
+    patterns = {random_pattern(rng, codes) for _ in range(200)}
+    patterns |= {"*"} | {"?" * n for n in range(1, max(map(len, codes)) + 2)}
+    patterns |= set('!"(),-.:;') | {c + "*" for c in '!"(),-.:;'}
+    patterns |= {"...", "..*", "?.", "???*"}
+    for pattern in sorted(patterns):
+        tp = TagPattern(pattern)
+        for code in codes:
+            assert tp.matches(code) == naive_matches(pattern, code), (pattern, code)
+
+
 def test_compiled_table_equals_naive_full_registry():
     registry = load_registry()
     codes = registry.codes()
@@ -171,7 +189,7 @@ def test_compiled_table_equals_naive_full_registry():
         lines = random_rule_lines(rng, codes, 3)
         rs = parse_rules("\n".join(lines))
         triples = [(r.kind.upper(), r.left.pattern, r.right.pattern) for r in rs.rules]
-        table = rs._compiled()
+        table = rs.banned
         for c1 in codes:
             banned = table.get(c1, frozenset())
             for c2 in codes:
@@ -239,3 +257,20 @@ def test_validate_sequence_equals_per_pair_search():
         assert validate_sequence(rs, seq) == expected
         found += len(expected)
     assert found > 50
+
+
+def test_rules_add_no_import_cost():
+    """Importing the package and parsing an empty rules file never loads
+    the registry."""
+    script = (
+        "import spantag, spantag.cli\n"
+        "from spantag.bias import parse_rules\n"
+        "from spantag.tagset import load_registry\n"
+        "parse_rules('')\n"
+        "print(load_registry.cache_info().currsize)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1])},
+    )
+    assert run.stdout == "0\n"

@@ -271,6 +271,28 @@ def test_non_utf8_input_file_exits_2(tmp_path, model_file, gold_file, capsys, ba
     assert str(broken) in captured.err
 
 
+@pytest.mark.parametrize("command", ["tag", "tokenize"])
+@pytest.mark.parametrize("flag, body", [
+    pytest.param("--abbrev", "etc\n", id="abbrev-no-period"),
+    pytest.param("--abbrev", "Ud.\nEE.UU.\n", id="abbrev-inner-period"),
+    pytest.param("--abbrev", "# mine\np.ej.\n", id="abbrev-two-words"),
+    pytest.param("--multiwords", "en 2020\n", id="multiword-number"),
+    pytest.param("--multiwords", "sin embargo\nal fin, y al cabo\n", id="multiword-comma"),
+])
+def test_entry_tokenizing_never_applies_exits_2(tmp_path, model_file, capsys, command, flag, body):
+    src = tmp_path / "in.txt"
+    src.write_text("Vino de EE.UU. en 2020, p.ej. hoy etc. y más.", encoding="utf-8")
+    listed = tmp_path / "list.txt"
+    listed.write_text(body, encoding="utf-8")
+    argv = [command, str(src), flag, str(listed)]
+    if command == "tag":
+        argv += ["--model", str(model_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spantag: {listed}: line {body.count(chr(10))}: ")
+
+
 def test_train_rejects_unknown_symbol_form_exits_2(tmp_path, capsys):
     corpus = tmp_path / "gold.vrt"
     corpus.write_text("la\tARTDFS\n<unk>\tNCFS\n.\t.\n\n", encoding="utf-8")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from spantag.errors import TaggingError
 from spantag.lexicon import parse_lexicon, seed_lexicon
 from spantag.tagset import parse_tag
 from spantag.tokenizer import (
@@ -393,3 +394,49 @@ def test_multiword_requires_single_spaces():
     text = "a  pesar de"  # double space blocks the merge
     tokens = merge_multiwords(tokenize(text), text, ("a pesar de",))
     assert [t.surface for t in tokens] == ["a", "pesar", "de"]
+
+
+@pytest.mark.parametrize("entry", ["etc", "EE.UU.", "p.ej.", "...", ".", "2020.", "A4.", "a b."])
+def test_load_abbreviations_rejects_an_entry_tokenizing_never_merges(tmp_path, entry):
+    path = tmp_path / "abbrev.txt"
+    path.write_text(f"# comment\nUd.\n\n{entry}\netc.\n", encoding="utf-8")
+    with pytest.raises(TaggingError) as err:
+        load_abbreviations(path)
+    assert str(err.value).startswith(f"{path}: line 4: abbreviation {entry!r}")
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("en 2020", "2020"),
+    ("al fin, y al cabo", "fin,"),
+    ("Sr. López", "Sr."),
+    ("modelo A4", "A4"),
+    ("¿qué tal", "¿qué"),
+    ("embargo", None),
+])
+def test_load_multiwords_rejects_an_entry_tokenizing_never_merges(tmp_path, entry, bad):
+    path = tmp_path / "mw.txt"
+    path.write_text(f"# fixed expressions\nsin embargo\n{entry}\n", encoding="utf-8")
+    with pytest.raises(TaggingError) as err:
+        load_multiwords(path)
+    problem = f"{bad!r} is not one word" if bad else "needs two or more words"
+    assert str(err.value) == f"{path}: line 3: multiword {entry!r}: {problem}"
+
+
+def test_loaded_abbreviations_and_multiwords_all_apply(tmp_path):
+    """Every entry the loaders accept changes how its text tokenizes."""
+    abbrev_path = tmp_path / "abbrev.txt"
+    abbrev_path.write_text("etc.\npág.\n  Núm.  \nbien-dicho.\n", encoding="utf-8")
+    mw_path = tmp_path / "mw.txt"
+    mw_path.write_text("sin  embargo\na pesar de\nbien-estar común\n", encoding="utf-8")
+    abbrevs = load_abbreviations(abbrev_path)
+    multiwords = load_multiwords(mw_path)
+    assert abbrevs - default_abbreviations() == {"etc.", "pág.", "Núm.", "bien-dicho."}
+    assert multiwords == ("sin embargo", "a pesar de", "bien-estar común")
+    for entry in abbrevs - default_abbreviations():
+        text = f"Vino {entry} y se fue"
+        assert Token(entry, (5, 5 + len(entry.encode())), KIND_ABBREVIATION) in tokenize(
+            text, abbrevs)
+    for entry in multiwords:
+        text = f"Vino {entry} ayer."
+        merged = merge_multiwords(tokenize(text, abbrevs), text, multiwords)
+        assert entry in [t.surface for t in merged]
