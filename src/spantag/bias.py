@@ -18,7 +18,7 @@ import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BadPattern, RuleSyntaxError, read_utf8
+from .errors import BadPattern, RuleSyntaxError, parse_file
 from .tagset import Tag, load_registry
 
 FORBID = "forbid"
@@ -74,11 +74,15 @@ class RuleSet:
         banned: dict[str, set[str]] = {}
         codes = load_registry().codes() if self.rules else ()  # no rules: no registry
         for rule in self.rules:
+            lefts = fnmatch.filter(codes, rule.left.pattern)
             rights = set(fnmatch.filter(codes, rule.right.pattern))
+            for pattern, matched in ((rule.left, lefts), (rule.right, rights)):
+                if not matched:
+                    raise BadPattern(pattern.pattern, "matches no registry tag", line=rule.rule_id)
             if rule.kind == REQUIRE:
                 rights = set(codes) - rights
             if rights:
-                for left_code in fnmatch.filter(codes, rule.left.pattern):
+                for left_code in lefts:
                     banned.setdefault(left_code, set()).update(rights)
         self.banned = {k: frozenset(v) for k, v in banned.items()}
 
@@ -141,7 +145,7 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    return parse_rules(read_utf8(path))
+    return parse_file(path, parse_rules)
 
 
 def allowed(ruleset: RuleSet, t1: Tag, t2: Tag) -> bool:

@@ -46,26 +46,17 @@ def _emit(text: str, output: str | None):
 # ------------------------------------------------------------- subcommands
 
 def cmd_tagset(args) -> int:
-    registry = tagset.load_registry()
-    rows = list(registry)
-    if args.category:
-        if args.category not in tagset.CATEGORIES:
-            print(f"spantag: unknown category {args.category!r}", file=sys.stderr)
-            return EXIT_USAGE
-        rows = [e for e in rows if e.features.category == args.category]
-    for clause in args.where or []:
-        attr, sep, value = clause.partition("=")
-        if not sep:
-            print(f"spantag: bad filter {clause!r}, expected ATTR=VALUE", file=sys.stderr)
-            return EXIT_USAGE
-        field_name = tagset.feature_field(attr)
-        if field_name is None:
-            print(f"spantag: unknown attribute {attr!r}", file=sys.stderr)
-            return EXIT_USAGE
-        want = value == "true" if field_name == "existential" else value
-        rows = [e for e in rows if getattr(e.features, field_name) == want]
-    filtered = tagset.Registry(tuple(rows)) if len(rows) != len(registry) else registry
-    sys.stdout.write(tagset.export_tsv(filtered))
+    clauses = ([] if args.category is None else [f"category={args.category}"]) + (args.where or [])
+    try:
+        wanted = [tagset.parse_feature(clause) for clause in clauses]
+    except ValueError as exc:
+        print(f"spantag: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    rows = [
+        e for e in tagset.load_registry()
+        if all(getattr(e.features, field_name) == value for field_name, value in wanted)
+    ]
+    sys.stdout.write(tagset.export_tsv(rows))
     return EXIT_OK
 
 

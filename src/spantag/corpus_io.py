@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AlignmentError, UnknownTag, VerticalFormatError, read_utf8
+from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file
 from .lexicon import Lexicon
 from .tagset import Tag, parse_tag
 from .tagger import TaggedSentence
@@ -89,7 +89,9 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
 
 def read_vertical(path: str | Path, strict: bool = True) -> VerticalDocument:
     path = Path(path)
-    return parse_vertical(read_utf8(path), strict=strict, provenance=str(path))
+    return parse_file(
+        path, lambda text: parse_vertical(text, strict=strict, provenance=str(path))
+    )
 
 
 def format_vertical(doc: VerticalDocument) -> str:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class TaggingError(Exception):
@@ -128,3 +131,15 @@ def read_utf8(path: str | Path) -> str:
     the file."""
     with utf8_decoding(str(path)):
         return Path(path).read_text(encoding="utf-8")
+
+
+def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
+    """`parse` applied to a file's text, read through `read_utf8`.  A
+    TaggingError that `parse` raises gets ``<path>: `` in front of its
+    message and keeps its type and attributes (such as ``.line``)."""
+    text = read_utf8(path)
+    try:
+        return parse(text)
+    except TaggingError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import EmptyInput, LexiconParseError, UnknownTag, read_utf8
+from .errors import EmptyInput, LexiconParseError, UnknownTag, parse_file
 from .tagset import Tag, load_registry, parse_tag
 
 # Registry categories whose example forms seed the built-in lexicon.
@@ -157,7 +157,9 @@ def parse_lexicon(text: str, source: str = "<string>", include_seed: bool = True
 
 def load_lexicon(path: str | Path, include_seed: bool = True) -> Lexicon:
     path = Path(path)
-    return parse_lexicon(read_utf8(path), source=str(path), include_seed=include_seed)
+    return parse_file(
+        path, lambda text: parse_lexicon(text, source=str(path), include_seed=include_seed)
+    )
 
 
 def save_lexicon(lexicon: Lexicon) -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bias import RuleSet
 from .errors import (
-    EmptyCorpus, ModelFormatError, NoValidPath, SmoothingError, TaggingError, UnknownTag, read_utf8,
+    EmptyCorpus, ModelFormatError, NoValidPath, SmoothingError, TaggingError, UnknownTag, parse_file,
 )
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
 from .tagset import Tag, load_registry, parse_tag
@@ -563,7 +563,7 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
 
 
 def load_model(path: str | Path) -> HmmModel:
-    return model_from_text(read_utf8(path))
+    return parse_file(path, model_from_text)
 
 
 # ----------------------------------------------------------------- decoding

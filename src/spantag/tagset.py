@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import _tagset_data
 from .errors import NoSuchTag, RegistryError, UnknownTag
@@ -108,15 +108,8 @@ class RegistryEntry:
     notes: str = ""
 
 
-# Table column order in _tagset_data.TABLE.
-_COLUMNS = (
-    "TAG", "CATEGORY", "SUBCATEGORY", "GENDER", "NUMBER", "PERSON", "DEGREE",
-    "VERBCLASS", "TENSE", "MOOD", "DEIXIS", "DIRECTIONALITY", "POLARITY",
-    "PRONFN", "ANIMACY", "CASE", "POLITENESS", "EXISTENTIAL", "POSSPOS",
-    "DESCRIPTION", "EXAMPLES", "NOTES",
-)
-
-# (bundle field, table column, external attribute name, allowed values)
+# (bundle field, table column, external attribute name, allowed values);
+# None allows any text (subcategory is free-form per category).
 _FEATURE_SPEC = (
     ("category", "CATEGORY", "category", CATEGORIES),
     ("subcategory", "SUBCATEGORY", "subcategory", None),
@@ -134,21 +127,59 @@ _FEATURE_SPEC = (
     ("animacy", "ANIMACY", "animacy", ANIMACIES),
     ("case_role", "CASE", "case-role", CASE_ROLES),
     ("politeness", "POLITENESS", "politeness", POLITENESS_VALUES),
-    ("existential", "EXISTENTIAL", "existential", None),
+    ("existential", "EXISTENTIAL", "existential", frozenset({False, True})),
     ("possessive_position", "POSSPOS", "possessive-position", POSSESSIVE_POSITIONS),
 )
 
-_FIELD_TO_EXTERNAL = {f: ext for f, _c, ext, _v in _FEATURE_SPEC}
-_EXTERNAL_TO_FIELD = {ext: f for f, ext in _FIELD_TO_EXTERNAL.items()}
+# Table column order in _tagset_data.TABLE.
+_COLUMNS = ("TAG", *(c for _f, c, _e, _v in _FEATURE_SPEC), "DESCRIPTION", "EXAMPLES", "NOTES")
+
+_EXTERNAL_TO_FIELD = {ext: f for f, _c, ext, _v in _FEATURE_SPEC}
 _DEFAULTS = {f.name: f.default for f in fields(FeatureBundle)}
 
-# External (hyphenated) attribute names accepted by filters and parsers.
-FEATURE_ATTRIBUTES = tuple(_EXTERNAL_TO_FIELD)
+
+def _spell(value: str | bool) -> str:
+    """Text of a feature value: booleans are ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
-def feature_field(attribute: str) -> str | None:
-    """FeatureBundle field name for an external attribute name."""
-    return _EXTERNAL_TO_FIELD.get(attribute)
+# attribute -> {spelling: value} for every attribute with a closed value set
+_SPELLINGS = {
+    ext: {_spell(v): v for v in allowed}
+    for _f, _c, ext, allowed in _FEATURE_SPEC if allowed is not None
+}
+
+
+def _read_value(attribute: str, text: str) -> str | bool:
+    """The value spelled `text`; ValueError unless the attribute allows it."""
+    spellings = _SPELLINGS.get(attribute)
+    if spellings is None:
+        return text
+    try:
+        return spellings[text]
+    except KeyError:
+        raise ValueError(f"bad {attribute} value {text!r}") from None
+
+
+def parse_feature(clause: str) -> tuple[str, str | bool]:
+    """Split an ``attr=value`` clause into a FeatureBundle field name and
+    its value.  ValueError for a missing ``=``, an unknown attribute or a
+    value outside the attribute's set."""
+    name, sep, text = clause.partition("=")
+    if not sep:
+        raise ValueError(f"missing '=' in feature clause {clause!r}")
+    field_name = _EXTERNAL_TO_FIELD.get(name)
+    if field_name is None:
+        raise ValueError(f"unknown feature attribute {name!r}")
+    return field_name, _read_value(name, text)
+
+
+def _cell(bundle: FeatureBundle, field_name: str) -> str:
+    """Text of one bundle field, ``-`` when it holds its default value."""
+    value = getattr(bundle, field_name)
+    return "-" if value == _DEFAULTS[field_name] else _spell(value)
 
 
 @lru_cache(maxsize=1)
@@ -162,22 +193,13 @@ def _parse_row(line_no: int, line: str) -> RegistryEntry:
     if len(cells) != len(_COLUMNS):
         raise RegistryError(f"table row {line_no}: expected {len(_COLUMNS)} columns")
     row = dict(zip(_COLUMNS, cells))
-    kwargs = {}
-    for field_name, column, _ext, allowed in _FEATURE_SPEC:
-        raw = row[column]
-        if field_name == "existential":
-            if raw not in ("true", "-"):
-                raise RegistryError(f"table row {line_no}: bad EXISTENTIAL value {raw!r}")
-            kwargs[field_name] = raw == "true"
-            continue
-        if raw == "-":
-            kwargs[field_name] = _DEFAULTS[field_name]
-            continue
-        if allowed is not None and raw not in allowed:
-            raise RegistryError(
-                f"table row {line_no}: bad {column} value {raw!r}"
-            )
-        kwargs[field_name] = raw
+    try:
+        kwargs = {
+            field_name: _read_value(ext, row[column])
+            for field_name, column, ext, _v in _FEATURE_SPEC if row[column] != "-"
+        }
+    except ValueError as exc:
+        raise RegistryError(f"table row {line_no}: {exc}") from None
     examples = () if row["EXAMPLES"] == "-" else tuple(row["EXAMPLES"].split(","))
     notes = "" if row["NOTES"] == "-" else row["NOTES"]
     return RegistryEntry(
@@ -253,8 +275,6 @@ def load_registry() -> Registry:
 
 def parse_tag(code: str) -> Tag:
     """Return the registry tag for `code`; raise UnknownTag otherwise."""
-    if code not in _code_set():
-        raise UnknownTag(code)
     return Tag(code)
 
 
@@ -279,32 +299,19 @@ def format_features(tag: Tag) -> str:
     default value are omitted.
     """
     bundle = decompose(tag)
-    parts = [f"category={bundle.category}"]
-    rest = []
-    for field_name, ext in _FIELD_TO_EXTERNAL.items():
-        if field_name == "category":
-            continue
-        value = getattr(bundle, field_name)
-        if value == _DEFAULTS[field_name]:
-            continue
-        if field_name == "existential":
-            value = "true"
-        rest.append((ext, value))
-    parts.extend(f"{ext}={value}" for ext, value in sorted(rest))
-    return "|".join(parts)
+    rest = sorted(
+        (ext, _cell(bundle, field_name))
+        for field_name, _c, ext, _v in _FEATURE_SPEC if field_name != "category"
+    )
+    return "|".join(
+        f"{ext}={text}" for ext, text in [("category", bundle.category), *rest] if text != "-"
+    )
 
 
 def parse_features(text: str) -> FeatureBundle:
-    """Parse `format_features` output back into a bundle."""
-    kwargs = {}
-    for chunk in text.split("|"):
-        name, sep, value = chunk.partition("=")
-        if not sep:
-            raise ValueError(f"missing '=' in feature chunk {chunk!r}")
-        field_name = _EXTERNAL_TO_FIELD.get(name)
-        if field_name is None:
-            raise ValueError(f"unknown feature attribute {name!r}")
-        kwargs[field_name] = value == "true" if field_name == "existential" else value
+    """Parse `format_features` output back into a bundle.  ValueError for
+    a clause `parse_feature` rejects or a missing category."""
+    kwargs = dict(parse_feature(clause) for clause in text.split("|"))
     if "category" not in kwargs:
         raise ValueError("feature text lacks a category attribute")
     return FeatureBundle(**kwargs)
@@ -315,28 +322,18 @@ def list_by(predicate: Callable[[FeatureBundle], bool]) -> list[Tag]:
     return [e.tag for e in load_registry() if predicate(e.features)]
 
 
-def export_tsv(registry: Registry | None = None) -> str:
-    """Registry dump in the fixed TSV interchange layout.
+def export_tsv(entries: Iterable[RegistryEntry] | None = None) -> str:
+    """Dump of `entries` (default: the whole registry, in order) in the
+    fixed TSV interchange layout.
 
     One row per tag; ``-`` for attributes at their default value; UTF-8
     text with LF line endings and a header row.  The possessive-position
     attribute is internal to the bundle and not part of this layout.
     """
-    registry = registry or load_registry()
-    columns = [c for c in _COLUMNS if c not in ("POSSPOS", "NOTES")]
-    layout = [(f, c) for f, c, _e, _v in _FEATURE_SPEC if c in columns]
-    out = ["\t".join(columns)]
-    for e in registry:
-        cells = [e.tag.code]
-        for field_name, _column in layout:
-            value = getattr(e.features, field_name)
-            if value == _DEFAULTS[field_name]:
-                cells.append("-")
-            elif field_name == "existential":
-                cells.append("true")
-            else:
-                cells.append(value)
-        cells.append(e.description)
+    layout = [(f, c) for f, c, _e, _v in _FEATURE_SPEC if c != "POSSPOS"]
+    out = ["\t".join(["TAG", *(c for _f, c in layout), "DESCRIPTION", "EXAMPLES"])]
+    for e in load_registry() if entries is None else entries:
+        cells = [e.tag.code, *(_cell(e.features, f) for f, _c in layout), e.description]
         cells.append(",".join(e.examples) if e.examples else "-")
         out.append("\t".join(cells))
     return "\n".join(out) + "\n"

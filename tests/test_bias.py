@@ -37,8 +37,21 @@ def test_parse_require():
 
 
 def test_parse_comments_blanks_and_line_ids():
-    rs = parse_rules("# heading\n\nFORBID A* B*\n# mid\nREQUIRE C* D*\n")
+    rs = parse_rules("# heading\n\nFORBID A* D*\n# mid\nREQUIRE C* D*\n")
     assert [r.rule_id for r in rs.rules] == [3, 5]
+
+
+@pytest.mark.parametrize("text, line, pattern", [
+    ("FORBID ARTDFS NCMPP\n", 1, "NCMPP"),
+    ("# typo\nFORBID ARTDZS NCFS\n", 2, "ARTDZS"),
+    ("FORBID ARTDFS NCM?\nREQUIRE B* NC*\n", 2, "B*"),
+    ("REQUIRE PPOSPS NC???????\n", 1, "NC???????"),
+])
+def test_parse_rejects_pattern_matching_no_registry_tag(text, line, pattern):
+    with pytest.raises(BadPattern) as err:
+        parse_rules(text)
+    assert (err.value.line, err.value.pattern) == (line, pattern)
+    assert "matches no registry tag" in str(err.value)
 
 
 def test_parse_bad_directive():

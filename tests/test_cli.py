@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import spantag
+from spantag import tagset
 from spantag.cli import main
-from spantag.tagset import REGISTRY_SIZE
+from spantag.tagset import REGISTRY_SIZE, export_tsv, list_by
 
 GOLD = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nla\tARTDFS\nmano\tNCFS\n.\t.\n\n"
 
@@ -59,6 +60,78 @@ def test_tagset_bad_filter_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nonsense" in captured.err
+
+
+# --where attribute -> (FeatureBundle field, {spelling: value}) for every
+# attribute; subcategory is free-form, so it gets a few registry values
+# and one that no tag carries.
+WHERE_VALUES = {
+    "category": ("category", tagset.CATEGORIES),
+    "subcategory": ("subcategory", ("definite", "personal-clitic", "a-el", "no-such-subcategory")),
+    "gender": ("gender", tagset.GENDERS),
+    "number": ("number", tagset.NUMBERS),
+    "person": ("person", tagset.PERSONS),
+    "degree": ("degree", tagset.DEGREES),
+    "verb-class": ("verb_class", tagset.VERB_CLASSES),
+    "tense": ("tense", tagset.TENSES),
+    "mood": ("mood", tagset.MOODS),
+    "deixis": ("deixis", tagset.DEIXES),
+    "directionality": ("directionality", tagset.DIRECTIONALITIES),
+    "polarity": ("polarity", tagset.POLARITIES),
+    "pronominal-function": ("pronominal_function", tagset.PRONOMINAL_FUNCTIONS),
+    "animacy": ("animacy", tagset.ANIMACIES),
+    "case-role": ("case_role", tagset.CASE_ROLES),
+    "politeness": ("politeness", tagset.POLITENESS_VALUES),
+    "existential": ("existential", {"true": True, "false": False}),
+    "possessive-position": ("possessive_position", tagset.POSSESSIVE_POSITIONS),
+}
+
+
+def expected_dump(predicate):
+    """Header plus the full dump's rows of the tags `list_by` selects."""
+    header, *rows = export_tsv().splitlines(keepends=True)
+    by_code = {row.split("\t", 1)[0]: row for row in rows}
+    return header + "".join(by_code[t.code] for t in list_by(predicate))
+
+
+@pytest.mark.parametrize("attribute", WHERE_VALUES)
+def test_tagset_where_equals_list_by(capsys, attribute):
+    field, values = WHERE_VALUES[attribute]
+    spellings = values if isinstance(values, dict) else {v: v for v in values}
+    for text, value in sorted(spellings.items()):
+        assert main(["tagset", "--where", f"{attribute}={text}"]) == 0
+        assert capsys.readouterr().out == expected_dump(
+            lambda b: getattr(b, field) == value
+        ), f"{attribute}={text}"
+
+
+@pytest.mark.parametrize("category", ["portmanteau", "verb", "formula", "punctuation"])
+def test_tagset_category_equals_where_category(capsys, category):
+    assert main(["tagset", "--category", category]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["tagset", "--where", f"category={category}"]) == 0
+    assert capsys.readouterr().out == by_flag == expected_dump(lambda b: b.category == category)
+
+
+def test_tagset_filter_matching_nothing_prints_only_the_header(capsys):
+    assert main(["tagset", "--category", "formula", "--where", "gender=feminine"]) == 0
+    assert capsys.readouterr().out == export_tsv().splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--where", "existential=yes"],
+    ["--where", "gender=femenine"],
+    ["--where", "category=bogus"],
+    ["--where", "flavour=mint"],
+    ["--where", "gender"],
+    ["--category", "formula", "--where", "gender=femenine"],
+    ["--category", ""],
+])
+def test_tagset_bad_clause_exits_2(capsys, argv):
+    assert main(["tagset", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spantag: ")
 
 
 def test_unknown_flag_exits_2():
@@ -291,6 +364,59 @@ def test_entry_tokenizing_never_applies_exits_2(tmp_path, model_file, capsys, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"spantag: {listed}: line {body.count(chr(10))}: ")
+
+
+@pytest.mark.parametrize("command", ["tag", "validate"])
+@pytest.mark.parametrize("body, line, pattern", [
+    pytest.param("# typo\nFORBID ARTDFS NCMPP\n", 2, "NCMPP", id="right"),
+    pytest.param("FORBID ARTDZS NCFS\n", 1, "ARTDZS", id="left"),
+    pytest.param("FORBID ARTDFS NCM?\nREQUIRE B* NC*\n", 2, "B*", id="require"),
+])
+def test_rule_pattern_matching_no_tag_exits_2(tmp_path, model_file, capsys, command, body, line, pattern):
+    src = tmp_path / "in.txt"
+    src.write_text("la niño .", encoding="utf-8")
+    vertical = tmp_path / "in.vrt"
+    vertical.write_text("la\tARTDFS\nniño\tNCMS\n.\t.\n\n", encoding="utf-8")
+    rules = tmp_path / "typo.rules"
+    rules.write_text(body, encoding="utf-8")
+    argv = {
+        "tag": ["tag", str(src), "--model", str(model_file)],
+        "validate": ["validate", str(vertical)],
+    }[command] + ["--rules", str(rules)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"spantag: {rules}: line {line}: bad pattern {pattern!r}: matches no registry tag\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["lexicon", "rules", "model", "gold", "pred", "corpus"])
+def test_load_error_names_the_file(tmp_path, model_file, gold_file, capsys, kind):
+    src = tmp_path / "in.txt"
+    src.write_text("la mesa .", encoding="utf-8")
+    bad = tmp_path / f"bad-{kind}.txt"
+    bad.write_text({
+        "lexicon": "mesa\tNCFS\nsilla\tBOGUS\n",
+        "rules": "FORBID ARTDFS NCMP\nBLOCK ARTDFS NCFS\n",
+        "model": model_file.read_text(encoding="utf-8").replace("\n", "\nnot a section\n", 1),
+        "gold": "la\tARTDFS\nmesa\tNCFZ\n",
+        "pred": "la\tARTDFS\nmesa\tNCFZ\n",
+        "corpus": "la\tARTDFS\nmesa NCFS\n",
+    }[kind], encoding="utf-8")
+    tag = ["tag", str(src), "--model", str(model_file)]
+    argv = {
+        "lexicon": tag + ["--lexicon", str(bad)],
+        "rules": tag + ["--rules", str(bad)],
+        "model": ["tag", str(src), "--model", str(bad)],
+        "gold": ["eval", "--gold", str(bad), "--pred", str(gold_file)],
+        "pred": ["eval", "--gold", str(gold_file), "--pred", str(bad)],
+        "corpus": ["train", "--corpus", str(bad), "--model", str(tmp_path / "new.model")],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spantag: {bad}: line 2: ")
 
 
 def test_train_rejects_unknown_symbol_form_exits_2(tmp_path, capsys):

@@ -174,6 +174,19 @@ def test_parse_features_rejects_garbage():
         parse_features("category=article|flavour=mint")
 
 
+@pytest.mark.parametrize("text", [
+    "category=bogus",
+    "category=bogus|gender=x",
+    "category=noun|gender=femenine",
+    "category=noun|existential=yes",
+    "category=noun|existential=True",
+    "category=noun|verb-class=",
+])
+def test_parse_features_rejects_value_outside_its_set(text):
+    with pytest.raises(ValueError):
+        parse_features(text)
+
+
 def test_list_by():
     assert [t.code for t in list_by(lambda b: b.category == "portmanteau")] == ["PAL", "PDEL"]
     assert [t.code for t in list_by(lambda b: b.category == "title-noun")] == ["TRATF", "TRATM"]
@@ -308,6 +321,15 @@ def test_export_tsv_matches_packaged_copy():
         resources.files("spantag").joinpath("data/tagset.tsv").read_text("utf-8")
     )
     assert packaged == export_tsv()
+
+
+def test_export_tsv_of_given_entries():
+    registry = load_registry()
+    header, *rows = export_tsv().splitlines(keepends=True)
+    assert export_tsv(registry) == export_tsv()
+    assert export_tsv([]) == header
+    picked = [registry.entry("PDEL"), registry.entry("VHPI3E")]
+    assert export_tsv(picked) == header + rows[registry.index("PDEL")] + rows[registry.index("VHPI3E")]
 
 
 def test_registry_rejects_duplicate_codes():
