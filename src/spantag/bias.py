@@ -18,7 +18,7 @@ import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BadPattern, RuleSyntaxError, parse_file
+from .errors import BadPattern, RuleSyntaxError, content_lines, parse_file
 from .tagset import Tag, load_registry
 
 FORBID = "forbid"
@@ -78,7 +78,7 @@ class RuleSet:
             rights = set(fnmatch.filter(codes, rule.right.pattern))
             for pattern, matched in ((rule.left, lefts), (rule.right, rights)):
                 if not matched:
-                    raise BadPattern(pattern.pattern, "matches no registry tag", line=rule.rule_id)
+                    raise BadPattern(pattern.pattern, "matches no registry tag", rule.rule_id)
             if rule.kind == REQUIRE:
                 rights = set(codes) - rights
             if rights:
@@ -122,24 +122,21 @@ def parse_rules(text: str) -> RuleSet:
     REQUIRE directive and BadPattern for malformed patterns.
     """
     rules = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3:
-            raise RuleSyntaxError(line_no, "expected 'FORBID|REQUIRE <pattern> <pattern>'")
+            raise RuleSyntaxError("expected 'FORBID|REQUIRE <pattern> <pattern>'", line_no)
         directive, left, right = fields
         if directive == "FORBID":
             kind = FORBID
         elif directive == "REQUIRE":
             kind = REQUIRE
         else:
-            raise RuleSyntaxError(line_no, f"unknown directive {directive!r}")
+            raise RuleSyntaxError(f"unknown directive {directive!r}", line_no)
         try:
             rule = BiasRule(kind, TagPattern(left), TagPattern(right), rule_id=line_no)
         except BadPattern as exc:
-            raise BadPattern(exc.pattern, exc.message, line=line_no) from None
+            raise BadPattern(exc.pattern, exc.message, line_no) from None
         rules.append(rule)
     return RuleSet(tuple(rules))
 

@@ -215,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TaggingError as exc:
-        print(f"spantag: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (TaggingError, OSError) as exc:
         print(f"spantag: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

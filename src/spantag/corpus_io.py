@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file
+from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file, split_lines
 from .lexicon import Lexicon
 from .tagset import Tag, parse_tag
 from .tagger import TaggedSentence
@@ -58,7 +58,7 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
         pairs = []
         fallback = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             close_sentence()
             continue
@@ -69,15 +69,15 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
             continue  # comment; a "#" token line always carries a tab
         cells = raw.split("\t")
         if len(cells) != 2:
-            raise VerticalFormatError(line_no, "expected exactly one tab per line")
+            raise VerticalFormatError("expected exactly one tab per line", line_no)
         surface, code = cells
         if not surface or not code:
-            raise VerticalFormatError(line_no, "empty token or tag field")
+            raise VerticalFormatError("empty token or tag field", line_no)
         try:
             tag = parse_tag(code)
         except UnknownTag:
             if strict:
-                raise UnknownTag(code, line=line_no) from None
+                raise UnknownTag(code, line_no) from None
             flagged.append((line_no, code))
             tag = parse_tag("PNC")
         pairs.append((_token_for(surface), tag))

@@ -1,22 +1,32 @@
-"""Exception types shared across the toolkit, and the one file reader
-that turns undecodable input into them.
+"""Exception types shared across the toolkit, and the one way to read a
+line-oriented input file.
 
-Errors that originate from a line-oriented input (lexicon files, rules
-files, vertical corpora) carry the 1-based line number that triggered
-them so callers can report addressable diagnostics.
+`parse_file` reads every input file as strict UTF-8 and puts the file
+name in front of the errors its parser raises.  Parsers cut the text
+with `split_lines`, where only ``\\n`` (or ``\\r\\n``) ends a line, and the
+formats with comments skip what `content_lines` skips: blank lines and
+lines led by ``#``.  An error about one line keeps its 1-based number as
+``.line``, and `TaggingError` alone writes it into the message, so every
+report reads ``<file>: line N: <message>``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
 
 class TaggingError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  `line` is the 1-based input
+    line at fault, if any; it is kept as ``.line`` and put in front of
+    the message as ``line N: ``."""
+
+    def __init__(self, message: str = "", line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class RegistryError(TaggingError):
@@ -28,9 +38,7 @@ class UnknownTag(TaggingError):
 
     def __init__(self, code: str, line: int | None = None):
         self.code = code
-        self.line = line
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}unknown tag {code!r}")
+        super().__init__(f"unknown tag {code!r}", line)
 
 
 class NoSuchTag(TaggingError):
@@ -40,10 +48,6 @@ class NoSuchTag(TaggingError):
 class LexiconParseError(TaggingError):
     """A lexicon file line does not match the expected format."""
 
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
 
 class EmptyInput(TaggingError):
     """An operation that needs a non-empty wordform got an empty one."""
@@ -52,10 +56,6 @@ class EmptyInput(TaggingError):
 class RuleSyntaxError(TaggingError):
     """A bias rules line is not a FORBID/REQUIRE directive."""
 
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
 
 class BadPattern(TaggingError):
     """A tag pattern is malformed (e.g. a non-final ``*``)."""
@@ -63,9 +63,7 @@ class BadPattern(TaggingError):
     def __init__(self, pattern: str, message: str, line: int | None = None):
         self.pattern = pattern
         self.message = message
-        self.line = line
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}bad pattern {pattern!r}: {message}")
+        super().__init__(f"bad pattern {pattern!r}: {message}", line)
 
 
 class EmptyCorpus(TaggingError):
@@ -75,22 +73,13 @@ class EmptyCorpus(TaggingError):
 class NoValidPath(TaggingError):
     """The bias rules eliminated every candidate tag path for a sentence."""
 
-    def __init__(self, position: int, sentence_index: int | None = None):
+    def __init__(self, position: int):
         self.position = position
-        self.sentence_index = sentence_index
-        where = "" if sentence_index is None else f"sentence {sentence_index}, "
-        super().__init__(
-            f"{where}token {position}: constraints eliminated every tag path"
-        )
+        super().__init__(f"token {position}: constraints eliminated every tag path")
 
 
 class ModelFormatError(TaggingError):
     """A model file is malformed or fails normalization checks."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}{message}")
 
 
 class SmoothingError(TaggingError, ValueError):
@@ -99,10 +88,6 @@ class SmoothingError(TaggingError, ValueError):
 
 class VerticalFormatError(TaggingError):
     """A vertical corpus line does not match ``token<TAB>TAG``."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 class AlignmentError(TaggingError):
@@ -126,11 +111,30 @@ def utf8_decoding(name: str):
 
 
 def read_utf8(path: str | Path) -> str:
-    """A file's text, decoded as strict UTF-8.  Every input file goes
-    through here, so bytes that are not UTF-8 raise a TaggingError naming
-    the file."""
+    """A file's text, decoded as strict UTF-8 with its line ends as they
+    are (no newline translation: `split_lines` reads them).  Every input
+    file goes through here, so bytes that are not UTF-8 raise a
+    TaggingError naming the file."""
     with utf8_decoding(str(path)):
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
+
+
+def split_lines(text: str) -> list[str]:
+    """`text` cut at each ``\\n``, with one ``\\r`` before it dropped, so a
+    CRLF file reads as its LF copy.  No other character ends a line, as in
+    `utf8_decoding` and unlike `str.splitlines`; a final ``\\n`` is
+    followed by one last, empty line."""
+    return text.replace("\r\n", "\n").split("\n")
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of `text` that is neither
+    blank nor led by ``#`` (after leading blanks): the comment rule of
+    the lexicon, rules, abbreviation and multiword formats."""
+    for line_no, line in enumerate(split_lines(text), start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
 
 
 def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:

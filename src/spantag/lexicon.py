@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import EmptyInput, LexiconParseError, UnknownTag, parse_file
+from .errors import EmptyInput, LexiconParseError, UnknownTag, content_lines, parse_file
 from .tagset import Tag, load_registry, parse_tag
 
 # Registry categories whose example forms seed the built-in lexicon.
@@ -132,25 +132,22 @@ def parse_lexicon(text: str, source: str = "<string>", include_seed: bool = True
     entries: dict[str, AmbiguityClass] = (
         dict(seed_lexicon().items()) if include_seed else {}
     )
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         cells = line.split("\t")
         if len(cells) != 2:
-            raise LexiconParseError(line_no, "expected 'wordform<TAB>TAGS'")
+            raise LexiconParseError("expected 'wordform<TAB>TAGS'", line_no)
         wordform, tag_field = cells
         if not wordform or not tag_field:
-            raise LexiconParseError(line_no, "empty wordform or tag list")
+            raise LexiconParseError("empty wordform or tag list", line_no)
         tags = set()
         for code in tag_field.split(","):
             code = code.strip()
             if not code:
-                raise LexiconParseError(line_no, "empty tag code in list")
+                raise LexiconParseError("empty tag code in list", line_no)
             try:
                 tags.add(parse_tag(code))
             except UnknownTag:
-                raise UnknownTag(code, line=line_no) from None
+                raise UnknownTag(code, line_no) from None
         _add(entries, wordform, frozenset(tags))
     return Lexicon(entries, source=source)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from .bias import RuleSet
 from .errors import (
     EmptyCorpus, ModelFormatError, NoValidPath, SmoothingError, TaggingError, UnknownTag, parse_file,
+    split_lines,
 )
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
 from .tagset import Tag, load_registry, parse_tag
@@ -418,8 +419,8 @@ def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[s
 def model_from_text(text: str) -> HmmModel:
     """Parse and validate a serialized model: a counts file when its first
     line is ``COUNTS``, v1 probability rows otherwise."""
-    lines = text.splitlines()
-    if lines and lines[0] == COUNTS_MARKER:
+    lines = split_lines(text)
+    if lines[0] == COUNTS_MARKER:
         return _model_from_counts(lines)
     return _model_from_v1(lines)
 
@@ -429,7 +430,10 @@ def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, 
     """Scan a model file's sections: yield ``(line_no, section, cells)`` for
     each TRANSITIONS / EMISSIONS row and store each META row in `meta` as
     key -> (value, line number).  Blank lines are skipped; data before the
-    first section header and rows of the wrong width are rejected."""
+    first section header, rows of the wrong width and rows whose context
+    or outcome no model can hold are rejected."""
+    codes = frozenset(load_registry().codes())
+    contexts, outcomes = codes | {START}, codes | {END}
     section = None
     for line_no, raw in enumerate(lines, start=first_line_no):
         if not raw.strip():
@@ -444,10 +448,22 @@ def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, 
             if len(cells) != 2:
                 raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
             meta[cells[0]] = (cells[1], line_no)
-        elif len(cells) != 3:
+            continue
+        if len(cells) != 3:
             raise ModelFormatError(row_format, line_no)
-        else:
-            yield line_no, section, cells
+        context, outcome, _value = cells
+        if section == "EMISSIONS":
+            if context not in codes:
+                raise ModelFormatError(f"emission tag {context!r} is not a registry tag", line_no)
+        elif context not in contexts:
+            raise ModelFormatError(
+                f"transition context {context!r} is neither {START} nor a registry tag", line_no
+            )
+        elif outcome not in outcomes:
+            raise ModelFormatError(
+                f"transition outcome {outcome!r} is neither a registry tag nor {END}", line_no
+            )
+        yield line_no, section, cells
 
 
 def _model_from_v1(lines: list[str]) -> HmmModel:
@@ -464,8 +480,10 @@ def _model_from_v1(lines: list[str]) -> HmmModel:
             raise ModelFormatError(f"bad log-probability {logp!r}", line_no) from None
         if not prob > 0.0:
             raise ModelFormatError(f"log-probability {logp!r} is not above -inf", line_no)
-        table = transitions if section == "TRANSITIONS" else emissions
-        table.setdefault(context, {})[outcome] = prob
+        row = (transitions if section == "TRANSITIONS" else emissions).setdefault(context, {})
+        if outcome in row:
+            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
+        row[outcome] = prob
 
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
     vocab = frozenset(
@@ -499,26 +517,11 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
         if not (count.isascii() and count.isdigit() and len(count) < 20
                 and 0 < int(count) < _COUNT_LIMIT):
             raise ModelFormatError(f"count {count!r} is not a positive integer", line_no)
-        if section == "TRANSITIONS":
-            if context != START and context not in registry:
-                raise ModelFormatError(
-                    f"transition context {context!r} is neither {START} nor a registry tag",
-                    line_no,
-                )
-            if outcome != END and outcome not in registry:
-                raise ModelFormatError(
-                    f"transition outcome {outcome!r} is neither a registry tag nor {END}",
-                    line_no,
-                )
-            table = trans_counts
-        else:
-            if context not in registry:
-                raise ModelFormatError(f"emission tag {context!r} is not a registry tag", line_no)
-            if outcome == UNKNOWN:
-                raise ModelFormatError(
-                    f"emission form {UNKNOWN!r} is reserved for unknown words", line_no
-                )
-            table = emit_counts
+        if section == "EMISSIONS" and outcome == UNKNOWN:
+            raise ModelFormatError(
+                f"emission form {UNKNOWN!r} is reserved for unknown words", line_no
+            )
+        table = trans_counts if section == "TRANSITIONS" else emit_counts
         if (context, outcome) in table:
             raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
         table[context, outcome] = n = int(count)

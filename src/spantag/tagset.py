@@ -310,8 +310,14 @@ def format_features(tag: Tag) -> str:
 
 def parse_features(text: str) -> FeatureBundle:
     """Parse `format_features` output back into a bundle.  ValueError for
-    a clause `parse_feature` rejects or a missing category."""
-    kwargs = dict(parse_feature(clause) for clause in text.split("|"))
+    a clause `parse_feature` rejects, a repeated attribute or a missing
+    category."""
+    kwargs = {}
+    for clause in text.split("|"):
+        field_name, value = parse_feature(clause)
+        if field_name in kwargs:
+            raise ValueError(f"repeated feature attribute {clause.partition('=')[0]!r}")
+        kwargs[field_name] = value
     if "category" not in kwargs:
         raise ValueError("feature text lacks a category attribute")
     return FeatureBundle(**kwargs)

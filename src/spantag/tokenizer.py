@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import TaggingError, read_utf8
+from .errors import TaggingError, content_lines, parse_file
 from .lexicon import Lexicon
 from .tagset import Tag, decompose, load_registry, parse_tag
 
@@ -88,14 +88,6 @@ def default_abbreviations() -> frozenset[str]:
     return frozenset(forms)
 
 
-def _entries(path: str | Path):
-    """(line number, entry) per non-blank, non-``#`` line, spaces collapsed."""
-    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = " ".join(raw.split())
-        if line and not line.startswith("#"):
-            yield line_no, line
-
-
 def _is_one_word(text: str) -> bool:
     tokens = tokenize(text, frozenset())
     return len(tokens) == 1 and tokens[0].kind == KIND_WORD and tokens[0].surface == text
@@ -105,11 +97,15 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
     """User abbreviation file (one surface per line, ``#`` comments),
     unioned with the built-in list.  Tokenizing merges only one word and
     a final ``.``, so any other entry raises a TaggingError."""
+    return parse_file(path, _parse_abbreviations)
+
+
+def _parse_abbreviations(text: str) -> frozenset[str]:
     forms = set(default_abbreviations())
-    for line_no, line in _entries(path):
+    for line_no, raw in content_lines(text):
+        line = " ".join(raw.split())
         if not (line.endswith(".") and _is_one_word(line[:-1])):
-            raise TaggingError(
-                f"{path}: line {line_no}: abbreviation {line!r} is not one word followed by '.'")
+            raise TaggingError(f"abbreviation {line!r} is not one word followed by '.'", line_no)
         forms.add(line)
     return frozenset(forms)
 
@@ -118,13 +114,18 @@ def load_multiwords(path: str | Path) -> tuple[str, ...]:
     """Multiword file: one space-separated multiword expression per line.
     Only two or more word tokens merge, so any other entry raises a
     TaggingError."""
+    return parse_file(path, _parse_multiwords)
+
+
+def _parse_multiwords(text: str) -> tuple[str, ...]:
     out = []
-    for line_no, line in _entries(path):
-        words = line.split(" ")
+    for line_no, raw in content_lines(text):
+        words = raw.split()
+        line = " ".join(words)
         bad = [w for w in words if not _is_one_word(w)]
         if bad or len(words) < 2:
             problem = f"{bad[0]!r} is not one word" if bad else "needs two or more words"
-            raise TaggingError(f"{path}: line {line_no}: multiword {line!r}: {problem}")
+            raise TaggingError(f"multiword {line!r}: {problem}", line_no)
         out.append(line)
     return tuple(out)
 

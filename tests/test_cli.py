@@ -118,6 +118,12 @@ def test_tagset_filter_matching_nothing_prints_only_the_header(capsys):
     assert capsys.readouterr().out == export_tsv().splitlines(keepends=True)[0]
 
 
+def test_tagset_repeated_where_keeps_and_semantics(capsys):
+    """Each --where must hold; two values for one attribute match no tag."""
+    assert main(["tagset", "--where", "gender=feminine", "--where", "gender=neuter"]) == 0
+    assert capsys.readouterr().out == export_tsv().splitlines(keepends=True)[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["--where", "existential=yes"],
     ["--where", "gender=femenine"],

@@ -187,6 +187,18 @@ def test_parse_features_rejects_value_outside_its_set(text):
         parse_features(text)
 
 
+@pytest.mark.parametrize("text, attribute", [
+    ("category=article|gender=feminine|gender=neuter|number=singular|subcategory=definite",
+     "gender"),
+    ("category=article|category=article|gender=feminine", "category"),
+])
+def test_parse_features_rejects_a_repeated_attribute(text, attribute):
+    """`format_features` never writes an attribute twice, so a second
+    clause is an error rather than a silent override."""
+    with pytest.raises(ValueError, match=f"repeated feature attribute '{attribute}'"):
+        parse_features(text)
+
+
 def test_list_by():
     assert [t.code for t in list_by(lambda b: b.category == "portmanteau")] == ["PAL", "PDEL"]
     assert [t.code for t in list_by(lambda b: b.category == "title-noun")] == ["TRATF", "TRATM"]
