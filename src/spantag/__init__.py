@@ -6,7 +6,7 @@ transition-bias rules, and a bigram HMM tagger whose Viterbi decoding
 honours the rules as hard constraints.
 """
 
-from .bias import BiasRule, RuleSet, TagPattern, allowed, load_rules, parse_rules, validate_sequence
+from .bias import BiasRule, RuleSet, TagPattern, load_rules, parse_rules
 from .corpus_io import (
     EvalReport,
     VerticalDocument,

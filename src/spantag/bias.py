@@ -8,8 +8,10 @@ left pattern matches a tag, its successor matches the right pattern
 
 Constraints intersect, so evaluation is order independent and adding a
 rule can only shrink the allowed relation.  Patterns are shell-style
-globs, and a rule set compiles, when it is built, to a banned-pair table
-over the registry for constant-time queries.
+globs.  A rule set compiles each rule once, when it is built, to the
+registry codes its left pattern matches and the right codes it bans;
+the banned-pair table for constant-time queries and the rule that
+`validate_sequence` reports are both read from those sets.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ class TagPattern:
         if bad:
             raise BadPattern(self.pattern, f"invalid character {bad[0]!r}")
 
-    def matches(self, code: str) -> bool:
-        return fnmatch.fnmatchcase(code, self.pattern)
-
 
 @dataclass(frozen=True)
 class BiasRule:
@@ -58,12 +57,6 @@ class BiasRule:
     right: TagPattern
     rule_id: int  # 1-based source line number
 
-    def violates(self, left_code: str, right_code: str) -> bool:
-        """True when this single rule rejects the adjacent pair."""
-        if self.kind == FORBID:
-            return self.left.matches(left_code) and self.right.matches(right_code)
-        return self.left.matches(left_code) and not self.right.matches(right_code)
-
 
 class RuleSet:
     """Immutable ordered collection of bias rules, with its banned-pair
@@ -71,16 +64,19 @@ class RuleSet:
 
     def __init__(self, rules: tuple[BiasRule, ...]):
         self.rules = tuple(rules)
+        # (rule id, left codes, banned right codes) of each rule, in file order
+        self._bans: list[tuple[int, frozenset[str], frozenset[str]]] = []
         banned: dict[str, set[str]] = {}
         codes = load_registry().codes() if self.rules else ()  # no rules: no registry
         for rule in self.rules:
             lefts = fnmatch.filter(codes, rule.left.pattern)
-            rights = set(fnmatch.filter(codes, rule.right.pattern))
+            rights = frozenset(fnmatch.filter(codes, rule.right.pattern))
             for pattern, matched in ((rule.left, lefts), (rule.right, rights)):
                 if not matched:
                     raise BadPattern(pattern.pattern, "matches no registry tag", rule.rule_id)
             if rule.kind == REQUIRE:
-                rights = set(codes) - rights
+                rights = frozenset(codes) - rights
+            self._bans.append((rule.rule_id, frozenset(lefts), rights))
             if rights:
                 for left_code in lefts:
                     banned.setdefault(left_code, set()).update(rights)
@@ -93,21 +89,15 @@ class RuleSet:
         """May t2 immediately follow t1?"""
         return t2.code not in self.banned.get(t1.code, ())
 
-    def first_violation(self, t1: Tag, t2: Tag) -> BiasRule | None:
-        """The first rule (in file order) rejecting the pair, if any."""
-        for rule in self.rules:
-            if rule.violates(t1.code, t2.code):
-                return rule
-        return None
-
     def validate_sequence(self, tags: list[Tag]) -> list[tuple[int, int]]:
-        """Violations as (pair index, rule id); empty list means valid."""
-        # The compiled table bans exactly the pairs some rule violates, so
-        # only the pairs it rejects need the rule-by-rule search.
+        """Violations as (pair index, rule id), naming for each banned pair
+        the first rule in file order that bans it; empty list means valid.
+        The table is the union of the same sets, so that rule exists."""
         return [
-            (i, self.first_violation(tags[i], tags[i + 1]).rule_id)
-            for i in range(len(tags) - 1)
-            if not self.allowed(tags[i], tags[i + 1])
+            (i, next(rule_id for rule_id, lefts, rights in self._bans
+                     if t1.code in lefts and t2.code in rights))
+            for i, (t1, t2) in enumerate(zip(tags, tags[1:]))
+            if not self.allowed(t1, t2)
         ]
 
 
@@ -144,10 +134,3 @@ def parse_rules(text: str) -> RuleSet:
 def load_rules(path: str | Path) -> RuleSet:
     return parse_file(path, parse_rules)
 
-
-def allowed(ruleset: RuleSet, t1: Tag, t2: Tag) -> bool:
-    return ruleset.allowed(t1, t2)
-
-
-def validate_sequence(ruleset: RuleSet, tags: list[Tag]) -> list[tuple[int, int]]:
-    return ruleset.validate_sequence(tags)

@@ -58,9 +58,6 @@ class AmbiguityClass:
     def signature(self) -> str:
         return ",".join(self.codes())
 
-    def union(self, other: "AmbiguityClass") -> "AmbiguityClass":
-        return AmbiguityClass(self.tags | other.tags)
-
     def __iter__(self):
         return iter(self.sorted_tags())
 

@@ -314,10 +314,9 @@ def _registry_order() -> dict[str, int]:
 
 def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
     name = model.corpus_name
-    # A tab or line boundary would split the corpus row when the file is read
-    # back, and a lone surrogate cannot be written as UTF-8.
-    if ("\t" in name or "".join(name.splitlines()) != name
-            or any("\ud800" <= ch <= "\udfff" for ch in name)):
+    # A tab, LF or CR would split or clip the corpus row when the file is read
+    # back (`split_lines`), and a lone surrogate cannot be written as UTF-8.
+    if any(ch in "\t\n\r" or "\ud800" <= ch <= "\udfff" for ch in name):
         raise TaggingError(f"corpus name {name!r} cannot be stored in a model file")
     return [
         "META",
@@ -580,7 +579,7 @@ def candidates(
     """Candidate tag set for one token.
 
     Split parts carry their candidates from the tokenizer; punctuation,
-    numbers, codes and formulas map to their dedicated tags; everything
+    numbers and codes map to their dedicated tags; everything
     else goes through the lexicon and then the unknown-word guesser.
     """
     if token.candidates:
@@ -592,8 +591,6 @@ def candidates(
         return AmbiguityClass(frozenset({parse_tag(code)}))
     if token.kind == tok.KIND_CODE:
         return AmbiguityClass(frozenset({parse_tag("CODE")}))
-    if token.kind == tok.KIND_FORMULA:
-        return AmbiguityClass(frozenset({parse_tag("FO")}))
     found = lexicon.lookup(token.surface)
     if found is not None:
         return found

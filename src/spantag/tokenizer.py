@@ -26,15 +26,9 @@ KIND_WORD = "word"
 KIND_PUNCTUATION = "punctuation"
 KIND_NUMBER = "number"
 KIND_CODE = "code"
-KIND_FORMULA = "formula"
 KIND_ABBREVIATION = "abbreviation"
 KIND_PORTMANTEAU_PART = "portmanteau-part"
 KIND_ENCLITIC_PART = "enclitic-part"
-
-TOKEN_KINDS = frozenset({
-    KIND_WORD, KIND_PUNCTUATION, KIND_NUMBER, KIND_CODE, KIND_FORMULA,
-    KIND_ABBREVIATION, KIND_PORTMANTEAU_PART, KIND_ENCLITIC_PART,
-})
 
 SENTENCE_TERMINATORS = frozenset({".", "?", "!", "...", "…"})
 

@@ -9,13 +9,7 @@ from pathlib import Path
 import pytest
 
 import spantag
-from spantag.bias import (
-    EMPTY_RULESET,
-    TagPattern,
-    allowed,
-    parse_rules,
-    validate_sequence,
-)
+from spantag.bias import EMPTY_RULESET, TagPattern, parse_rules
 from spantag.errors import BadPattern, RuleSyntaxError
 from spantag.tagset import load_registry, parse_tag
 
@@ -39,6 +33,17 @@ def test_parse_require():
 def test_parse_comments_blanks_and_line_ids():
     rs = parse_rules("# heading\n\nFORBID A* D*\n# mid\nREQUIRE C* D*\n")
     assert [r.rule_id for r in rs.rules] == [3, 5]
+
+
+def test_shipped_example_rules_parse():
+    """The example file enables nothing as shipped, and each of its
+    commented-out rules parses once uncommented."""
+    text = (Path(spantag.__file__).parent / "data" / "example_rules.txt").read_text(encoding="utf-8")
+    assert len(parse_rules(text)) == 0
+    examples = [line[1:] for line in text.split("\n") if line.startswith(("#FORBID ", "#REQUIRE "))]
+    assert len(examples) == 6
+    for line in examples:
+        assert len(parse_rules(line)) == 1, line
 
 
 @pytest.mark.parametrize("text, line, pattern", [
@@ -79,59 +84,61 @@ def test_lowercase_pattern_rejected():
         TagPattern("ncfs")
 
 
+def matched(pattern):
+    """Registry codes `pattern` matches, as the left side of a compiled rule."""
+    return set(parse_rules(f"FORBID {pattern} *").banned)
+
+
 def test_pattern_matching():
-    assert TagPattern("ARTD?S").matches("ARTDFS")
-    assert TagPattern("ARTD?S").matches("ARTDMS")
-    assert not TagPattern("ARTD?S").matches("ARTDFP")
-    assert TagPattern("NC*").matches("NCFS")
-    assert TagPattern("NC*").matches("NCMP")
-    assert not TagPattern("NC*").matches("ADJGFS")
-    assert TagPattern("NC*").matches("NC") is True  # empty suffix allowed
-    assert TagPattern("*").matches(",")
-    assert TagPattern("...").matches("...")
-    assert not TagPattern("NCFS").matches("NCF")
+    assert matched("ARTD?S") == {"ARTDFS", "ARTDMS", "ARTDNS"}
+    assert "ARTDFP" not in matched("ARTD?S")
+    assert matched("NC*") == {"NCFP", "NCFS", "NCMP", "NCMS"}
+    assert "ADJGFS" not in matched("NC*")
+    assert matched("PREP*") == {"PREP", "PREPN"}  # empty suffix allowed
+    assert "," in matched("*")
+    assert matched("...") == {"..."}
 
 
 def test_allowed_forbid():
     rs = parse_rules("FORBID ARTDFS NCMP\n")
-    assert allowed(rs, parse_tag("ARTDFS"), parse_tag("NCMP")) is False
-    assert allowed(rs, parse_tag("ARTDFS"), parse_tag("NCFS")) is True
-    assert allowed(rs, parse_tag("NCMP"), parse_tag("ARTDFS")) is True  # ordered
+    assert rs.allowed(parse_tag("ARTDFS"), parse_tag("NCMP")) is False
+    assert rs.allowed(parse_tag("ARTDFS"), parse_tag("NCFS")) is True
+    assert rs.allowed(parse_tag("NCMP"), parse_tag("ARTDFS")) is True  # ordered
 
 
 def test_allowed_require():
     rs = parse_rules("REQUIRE PPOSPS NC*\n")
-    assert allowed(rs, parse_tag("PPOSPS"), parse_tag("NCFS")) is True
-    assert allowed(rs, parse_tag("PPOSPS"), parse_tag("VLINF")) is False
-    assert allowed(rs, parse_tag("NCFS"), parse_tag("VLINF")) is True
+    assert rs.allowed(parse_tag("PPOSPS"), parse_tag("NCFS")) is True
+    assert rs.allowed(parse_tag("PPOSPS"), parse_tag("VLINF")) is False
+    assert rs.allowed(parse_tag("NCFS"), parse_tag("VLINF")) is True
 
 
 def test_empty_ruleset_allows_everything():
-    assert allowed(EMPTY_RULESET, parse_tag("ARTDFS"), parse_tag("NCMP"))
+    assert EMPTY_RULESET.allowed(parse_tag("ARTDFS"), parse_tag("NCMP"))
 
 
 def test_validate_sequence_empty():
     rs = parse_rules("FORBID ARTDFS NCMP\n")
-    assert validate_sequence(rs, []) == []
-    assert validate_sequence(rs, tags("ARTDFS")) == []
+    assert rs.validate_sequence([]) == []
+    assert rs.validate_sequence(tags("ARTDFS")) == []
 
 
 def test_validate_sequence_violation():
     rs = parse_rules("FORBID ARTDFS NCMP\n")
-    assert validate_sequence(rs, tags("ARTDFS", "NCMP")) == [(0, 1)]
-    assert validate_sequence(rs, tags("NCFS", "ARTDFS", "NCMP")) == [(1, 1)]
-    assert validate_sequence(rs, tags("ARTDFS", "NCFS")) == []
+    assert rs.validate_sequence(tags("ARTDFS", "NCMP")) == [(0, 1)]
+    assert rs.validate_sequence(tags("NCFS", "ARTDFS", "NCMP")) == [(1, 1)]
+    assert rs.validate_sequence(tags("ARTDFS", "NCFS")) == []
 
 
 def test_validate_sequence_reports_first_matching_rule():
     rs = parse_rules("FORBID ARTD?S NCMP\nFORBID ARTDFS NC*\n")
-    assert validate_sequence(rs, tags("ARTDFS", "NCMP")) == [(0, 1)]
+    assert rs.validate_sequence(tags("ARTDFS", "NCMP")) == [(0, 1)]
 
 
 def test_require_exempts_sequence_end():
     rs = parse_rules("REQUIRE PPOSPS NC*\n")
     # final position has no successor to constrain
-    assert validate_sequence(rs, tags("NCFS", "PPOSPS")) == []
+    assert rs.validate_sequence(tags("NCFS", "PPOSPS")) == []
 
 
 # ------------------------------------------------ naive-oracle equivalence
@@ -150,13 +157,22 @@ def naive_matches(pattern, code):
     return all(p == "?" or p == c for p, c in pairs)
 
 
+def naive_rules(lines):
+    """(rule id, directive, left, right) of each line of a rules text
+    holding only directives, read without the parser."""
+    return [(line_no, *line.split()) for line_no, line in enumerate(lines, start=1)]
+
+
+def naive_first_violation(rules, c1, c2):
+    """Id of the first rule, in file order, that rejects the pair, or None."""
+    for rule_id, directive, left, right in rules:
+        if naive_matches(left, c1) and naive_matches(right, c2) == (directive == "FORBID"):
+            return rule_id
+    return None
+
+
 def naive_allowed(rules, c1, c2):
-    for kind, left, right in rules:
-        if kind == "FORBID" and naive_matches(left, c1) and naive_matches(right, c2):
-            return False
-        if kind == "REQUIRE" and naive_matches(left, c1) and not naive_matches(right, c2):
-            return False
-    return True
+    return naive_first_violation(rules, c1, c2) is None
 
 
 def random_pattern(rng, codes):
@@ -189,9 +205,12 @@ def test_pattern_matching_equals_naive_full_registry():
     patterns |= set('!"(),-.:;') | {c + "*" for c in '!"(),-.:;'}
     patterns |= {"...", "..*", "?.", "???*"}
     for pattern in sorted(patterns):
-        tp = TagPattern(pattern)
-        for code in codes:
-            assert tp.matches(code) == naive_matches(pattern, code), (pattern, code)
+        expected = {code for code in codes if naive_matches(pattern, code)}
+        if expected:
+            assert matched(pattern) == expected, pattern
+        else:
+            with pytest.raises(BadPattern):
+                matched(pattern)
 
 
 def test_compiled_table_equals_naive_full_registry():
@@ -201,7 +220,7 @@ def test_compiled_table_equals_naive_full_registry():
     for _round in range(2):
         lines = random_rule_lines(rng, codes, 3)
         rs = parse_rules("\n".join(lines))
-        triples = [(r.kind.upper(), r.left.pattern, r.right.pattern) for r in rs.rules]
+        triples = naive_rules(lines)
         table = rs.banned
         for c1 in codes:
             banned = table.get(c1, frozenset())
@@ -216,7 +235,7 @@ def test_allowed_equals_naive_random_pairs():
     for _round in range(25):
         lines = random_rule_lines(rng, codes, rng.randrange(1, 6))
         rs = parse_rules("\n".join(lines))
-        triples = [(r.kind.upper(), r.left.pattern, r.right.pattern) for r in rs.rules]
+        triples = naive_rules(lines)
         for _ in range(300):
             c1, c2 = rng.choice(codes), rng.choice(codes)
             assert rs.allowed(parse_tag(c1), parse_tag(c2)) == naive_allowed(triples, c1, c2)
@@ -243,18 +262,18 @@ def test_validation_agrees_with_allowed():
     for _round in range(20):
         rs = parse_rules("\n".join(random_rule_lines(rng, codes, 3)))
         seq = tags(*(rng.choice(codes) for _ in range(rng.randrange(0, 7))))
-        violations = {i for i, _rid in validate_sequence(rs, seq)}
+        violations = {i for i, _rid in rs.validate_sequence(seq)}
         for i in range(max(0, len(seq) - 1)):
             assert (i in violations) == (not rs.allowed(seq[i], seq[i + 1]))
 
 
-def naive_validate_sequence(rs, seq):
+def naive_validate_sequence(rules, codes):
     """Reference: the first violated rule of every adjacent pair, rule by rule."""
     violations = []
-    for i in range(len(seq) - 1):
-        rule = rs.first_violation(seq[i], seq[i + 1])
-        if rule is not None:
-            violations.append((i, rule.rule_id))
+    for i in range(len(codes) - 1):
+        rule_id = naive_first_violation(rules, codes[i], codes[i + 1])
+        if rule_id is not None:
+            violations.append((i, rule_id))
     return violations
 
 
@@ -262,12 +281,15 @@ def test_validate_sequence_equals_per_pair_search():
     rng = random.Random(16)
     codes = load_registry().codes()
     found = 0
-    for _round in range(60):
-        pool = rng.sample(codes, 12)  # a small pool, so the rules often fire
-        rs = parse_rules("\n".join(random_rule_lines(rng, pool, rng.randrange(1, 6))))
-        seq = tags(*(rng.choice(pool) for _ in range(rng.randrange(0, 40))))
-        expected = naive_validate_sequence(rs, seq)
-        assert validate_sequence(rs, seq) == expected
+    for round_no in range(80):
+        # Half the rounds draw rules and tags from a small pool, so the
+        # rules often fire; the other half draw from the full registry.
+        pool = rng.sample(codes, 12) if round_no % 2 else codes
+        lines = random_rule_lines(rng, pool, rng.randrange(1, 6))
+        rs = parse_rules("\n".join(lines))
+        seq = [rng.choice(pool) for _ in range(rng.randrange(0, 40))]
+        expected = naive_validate_sequence(naive_rules(lines), seq)
+        assert rs.validate_sequence(tags(*seq)) == expected
         found += len(expected)
     assert found > 50
 

@@ -501,7 +501,7 @@ def test_train_with_a_large_constant_that_fits_exits_0(tmp_path, gold_file, caps
 
 
 @pytest.mark.parametrize("name", [
-    "my\tcorpus", "my\ncorpus", "my\u2028corpus", "my\udcffcorpus", "gold\udcff.vrt",
+    "my\tcorpus", "my\ncorpus", "my\rcorpus", "my\udcffcorpus", "gold\udcff.vrt",
 ])
 def test_train_rejects_unstorable_corpus_name_exits_2(tmp_path, capsys, name):
     """A name from --name, or from a corpus file name that is not UTF-8."""
@@ -519,6 +519,15 @@ def test_train_rejects_unstorable_corpus_name_exits_2(tmp_path, capsys, name):
     assert captured.out == ""
     assert "corpus name" in captured.err
     assert model.read_text(encoding="utf-8") == "earlier model\n"
+
+
+@pytest.mark.parametrize("name", ["my\x0ccorpus", "my\u2028corpus"])
+def test_train_stores_corpus_name_with_other_line_breaks(tmp_path, gold_file, name):
+    """Only LF, or CR LF, ends a model file line, so a form feed
+    or U+2028 in the name is stored and read back intact."""
+    model = tmp_path / "m.model"
+    assert main(["train", "--corpus", str(gold_file), "--model", str(model), "--name", name]) == 0
+    assert spantag.load_model(model).corpus_name == name
 
 
 # ------------------------------------------------------------ input fuzz

@@ -366,7 +366,7 @@ def test_large_constants_that_do_not_overflow_still_train(toy_corpus):
 
 # ----------------------------------------------------------- corpus names
 
-@pytest.mark.parametrize("name", ["my\tcorpus", "my\ncorpus", "my\u2028corpus", "my\udcffcorpus"])
+@pytest.mark.parametrize("name", ["my\tcorpus", "my\ncorpus", "my\rcorpus", "my\udcffcorpus"])
 def test_unstorable_corpus_name_is_rejected(toy_corpus, tmp_path, name):
     path = tmp_path / "toy.model"
     path.write_text("earlier model\n", encoding="utf-8")
@@ -377,6 +377,15 @@ def test_unstorable_corpus_name_is_rejected(toy_corpus, tmp_path, name):
     with pytest.raises(TaggingError, match="corpus name"):
         save_model(model, path)
     assert path.read_text(encoding="utf-8") == "earlier model\n"
+
+
+@pytest.mark.parametrize("name", ["my\x0ccorpus", "my\u2028corpus"])
+def test_corpus_name_with_other_line_breaks_round_trips(toy_corpus, name):
+    """Only LF ends a model file line, so other `str.splitlines` breaks
+    are stored and read back, in both formats."""
+    model = train(toy_corpus, corpus_name=name)
+    for writer in (model_to_text, model_to_counts_text):
+        assert model_from_text(writer(model)).corpus_name == name
 
 
 # ------------------------------------------------------ stored row form

@@ -5,6 +5,7 @@ import string
 
 import pytest
 
+from spantag import tagset
 from spantag.errors import NoSuchTag, UnknownTag
 from spantag.tagset import (
     FeatureBundle,
@@ -29,6 +30,12 @@ def test_registry_size_matches_checked_constant():
 
 def test_load_registry_idempotent():
     assert load_registry() is load_registry()
+
+
+def test_code_set_is_the_registry_codes():
+    """`Tag` validates against a set read from the table apart from the
+    registry build; both must see the same codes."""
+    assert tagset._code_set() == frozenset(load_registry().codes())
 
 
 SPOT_TAGS = [
