@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: tagset, tokenize, train, tag, validate, eval.  Standard
-output carries data only; diagnostics go to standard error.  Exit codes:
-0 success, 1 validation failures found, 2 usage or input errors.  No
-environment variables are consulted; behaviour is fully determined by
-flags, so runs are reproducible.
+output carries data only, always as UTF-8; diagnostics go to standard
+error.  Exit codes: 0 success, 1 validation failures found, 2 usage or
+input errors.  No environment variables are consulted; behaviour is
+fully determined by flags, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # UTF-8 whatever the locale or PYTHONIOENCODING, as for output files
+    sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

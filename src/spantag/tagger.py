@@ -621,22 +621,23 @@ def emission_scores(
     share each tag's unknown-word mass across the token's candidate set
     proportionally to smoothed tag priors from training.
     """
-    scores = []
-    for token, cls in sentence:
-        tags = cls.sorted_tags()
-        form = model.emission_form(token.surface)
-        row = {}
-        if form is not None:
-            for t in tags:
-                row[t.code] = model.emission_logp(t.code, form)
-        else:
-            denom = math.fsum(model.prior(t.code) for t in tags)
-            for t in tags:
-                row[t.code] = math.log10(
-                    model.unknown_prob(t.code) * model.prior(t.code) / denom
-                )
-        scores.append(row)
-    return scores
+    return [_emission_row(model, token.surface, cls) for token, cls in sentence]
+
+
+def _emission_row(model: HmmModel, surface: str, cls: AmbiguityClass) -> dict[str, float]:
+    tags = cls.sorted_tags()
+    form = model.emission_form(surface)
+    row = {}
+    if form is not None:
+        for t in tags:
+            row[t.code] = model.emission_logp(t.code, form)
+    else:
+        denom = math.fsum(model.prior(t.code) for t in tags)
+        for t in tags:
+            row[t.code] = math.log10(
+                model.unknown_prob(t.code) * model.prior(t.code) / denom
+            )
+    return row
 
 
 def viterbi_decode(
@@ -652,66 +653,68 @@ def viterbi_decode(
     at the earliest differing position.  Raises NoValidPath when the
     constraints eliminate every path.
     """
+    return _decode(model, ruleset, sentence, emission_scores(model, sentence))
+
+
+def _decode(
+    model: HmmModel,
+    ruleset: RuleSet | None,
+    sentence: list[tuple[tok.Token, AmbiguityClass]],
+    emission_rows: list[dict[str, float]],
+) -> tuple[list[Tag], float]:
+    """`viterbi_decode` with the sentence's `emission_scores` given: one
+    row per token, keyed by its class's codes in registry order."""
     if not sentence:
         return [], 0.0
-    tags = [cls.sorted_tags() for _tok, cls in sentence]
-    # The lattice runs START -> one layer per token -> END.  START and END
-    # hold one state each, emit with log-probability 0.0 and are never keys
-    # of the banned-pair table, so they are never constrained.
-    layers = [[START], *([t.code for t in layer] for layer in tags), [END]]
-    emits = [{START: 0.0}, *emission_scores(model, sentence), {END: 0.0}]
     banned = ruleset.banned if ruleset is not None else {}
+    transitions, uniform = model._transitions, model._uniform_trans
+    log10 = math.log10
 
-    # Per layer, state j (the j-th tag in registry order) keeps the score of
-    # its best path (None when no allowed path reaches it), a backpointer to
-    # that path's state in the previous layer, and the path's rank among the
-    # layer's live paths in lexicographic registry order.  A path's rank
-    # follows from (predecessor's rank, registry index), so comparing
-    # predecessor ranks on equal scores picks the lexicographically
-    # smallest prefix without storing prefixes.
-    scores: list[float | None] = [0.0]
-    rank = [0]
-    backpointers: list[list[int]] = []
-    for i in range(1, len(layers)):
-        prev_layer = layers[i - 1]
-        prev_bans = [banned.get(p, ()) for p in prev_layer]
-        next_scores: list[float | None] = []
-        back: list[int] = []
-        for t in layers[i]:
-            emit_lp = emits[i][t]
-            best_score = None
-            best_j = -1
-            for j, p in enumerate(prev_layer):
-                prev_score = scores[j]
-                if prev_score is None or t in prev_bans[j]:
+    # The lattice runs START -> one layer per token -> END.  A token's layer
+    # is its emission row: its candidate codes in registry order, each with
+    # its emission log-probability.  START and END hold one state each,
+    # emit with log-probability 0.0 and are never keys of the banned-pair
+    # table, so they are never constrained.
+    #
+    # `live` holds the previous layer's states that some allowed path
+    # reaches, in the lexicographic registry order of their best paths.
+    # Each is (its rank in that order, path score, banned next codes, its
+    # transition row as unseen and seen, its index in its layer, and the
+    # live state it came from).  A path's rank follows from (predecessor's
+    # rank, registry index), so scanning predecessors in rank order and
+    # keeping only strictly better scores picks, among equal scores, the
+    # lexicographically smallest prefix without storing prefixes.  Each
+    # edge adds log10 of its transition probability, the float
+    # `transition_logp` returns.
+    live = [(0, 0.0, (), *transitions.get(START, uniform), 0, None)]
+    for i, emits in enumerate([*emission_rows, {END: 0.0}]):
+        reached = []
+        for k, (t, emit_lp) in enumerate(emits.items()):
+            best_score = best_r = None
+            for r, prev_score, bans, unseen, seen, _k, _came_from in live:
+                if t in bans:
                     continue
-                score = prev_score + model.transition_logp(p, t) + emit_lp
-                if (
-                    best_j < 0
-                    or score > best_score
-                    or (score == best_score and rank[j] < rank[best_j])
-                ):
-                    best_score, best_j = score, j
-            next_scores.append(best_score)
-            back.append(best_j)
-        live = [k for k, j in enumerate(back) if j >= 0]
-        if not live:
-            raise NoValidPath(i - 1)
-        live.sort(key=lambda k: (rank[back[k]], k))
-        rank = [0] * len(back)
-        for r, k in enumerate(live):
-            rank[k] = r
-        scores = next_scores
-        backpointers.append(back)
+                score = prev_score + log10(seen.get(t, unseen)) + emit_lp
+                if best_r is None or score > best_score:
+                    best_score, best_r = score, r
+            if best_r is not None:
+                reached.append((best_r, k, t, best_score))
+        if not reached:
+            raise NoValidPath(i)
+        reached.sort()
+        came_from, live = live, []
+        for r, (best_r, k, t, score) in enumerate(reached):
+            unseen, seen = transitions.get(t, uniform)
+            live.append((r, score, banned.get(t, ()), unseen, seen, k, came_from[best_r]))
 
-    # Follow the backpointers from END's one state to the first token.
+    # Follow the chain from END's one state back to the first token.
     path = []
-    k = 0
-    for i in range(len(layers) - 1, 1, -1):
-        k = backpointers[i - 1][k]
-        path.append(tags[i - 2][k])
+    state = live[0][-1]
+    for _tok, cls in reversed(sentence):
+        path.append(cls.sorted_tags()[state[-2]])
+        state = state[-1]
     path.reverse()
-    return path, scores[0]
+    return path, live[0][1]
 
 
 # ----------------------------------------------------------------- pipeline
@@ -723,29 +726,54 @@ def prepare_sentence(
     enclitic_split: bool = True,
 ) -> list[tuple[tok.Token, AmbiguityClass]]:
     """Resolve splits and attach candidate sets for one sentence."""
+    return _prepare(sentence_tokens, model, lexicon, enclitic_split, {})
+
+
+def _prepare(
+    sentence_tokens: list[tok.Token],
+    model: HmmModel,
+    lexicon: Lexicon,
+    enclitic_split: bool,
+    types: dict[tuple[str, str, bool], tuple],
+) -> list[tuple[tok.Token, AmbiguityClass]]:
+    """`prepare_sentence`, remembering in `types` what each tokenizer token
+    (one without candidates) resolved to, keyed by (surface, kind,
+    sentence initial): the split decision or None, the parts' kind and
+    the candidate classes.  The parts themselves are built per token,
+    since their spans differ."""
     first_wordish: tok.Token | None = next(
         (t for t in sentence_tokens if t.kind != tok.KIND_PUNCTUATION), None
     )
     prepared: list[tuple[tok.Token, AmbiguityClass]] = []
     for token in sentence_tokens:
-        expanded = [token]
-        if token.kind == tok.KIND_WORD:
-            decision = tok.split_portmanteau(token)
-            if decision is not None:
-                expanded = tok.expand_token(token, decision, tok.KIND_PORTMANTEAU_PART)
-            elif enclitic_split:
-                decision = tok.split_enclitics(token, lexicon)
-                if decision is not None:
-                    expanded = tok.expand_token(token, decision, tok.KIND_ENCLITIC_PART)
-        for part in expanded:
-            prepared.append((
-                part,
-                candidates(
-                    model, lexicon, part,
-                    sentence_initial=token is first_wordish,
-                ),
-            ))
+        initial = token is first_wordish
+        key = (token.surface, token.kind, initial)
+        resolved = types.get(key) if token.candidates is None else None
+        if resolved is None:
+            resolved = _resolve(token, model, lexicon, enclitic_split, initial)
+            if token.candidates is None:
+                types[key] = resolved
+        decision, kind, classes = resolved
+        parts = [token] if decision is None else tok.expand_token(token, decision, kind)
+        prepared.extend(zip(parts, classes))
     return prepared
+
+
+def _resolve(
+    token: tok.Token, model: HmmModel, lexicon: Lexicon, enclitic_split: bool, initial: bool
+) -> tuple[tok.SplitDecision | None, str | None, tuple[AmbiguityClass, ...]]:
+    """(split decision or None, the parts' kind, candidate class per part)."""
+    decision = kind = None
+    if token.kind == tok.KIND_WORD:
+        decision = tok.split_portmanteau(token)
+        kind = tok.KIND_PORTMANTEAU_PART
+        if decision is None and enclitic_split:
+            decision = tok.split_enclitics(token, lexicon)
+            kind = tok.KIND_ENCLITIC_PART
+    if decision is None:
+        return None, None, (candidates(model, lexicon, token, sentence_initial=initial),)
+    # split parts carry their candidates (see `candidates`)
+    return decision, kind, tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
 
 
 def tag_text(
@@ -763,19 +791,29 @@ def tag_text(
     Sentences whose constrained decoding is infeasible fall back to
     unconstrained decoding and come back flagged.  Decoding runs on one
     thread, one sentence after another; `jobs` is accepted for
-    compatibility and ignored.
+    compatibility and ignored.  Each word type's split, candidates and
+    emission scores are worked out once per call and dropped on return.
     """
     tokens = tok.tokenize(text, abbreviations)
     if multiwords:
         tokens = tok.merge_multiwords(tokens, text, multiwords)
+    types: dict[tuple[str, str, bool], tuple] = {}
+    rows: dict[tuple[str, frozenset[Tag]], dict[str, float]] = {}
     tagged = []
     for sentence_tokens in tok.sentence_split(tokens):
-        prep = prepare_sentence(sentence_tokens, model, lexicon, enclitic_split=enclitic_split)
+        prep = _prepare(sentence_tokens, model, lexicon, enclitic_split, types)
+        emits = []
+        for token, cls in prep:
+            key = (token.surface, cls.tags)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _emission_row(model, token.surface, cls)
+            emits.append(row)
         try:
-            tags, _score = viterbi_decode(model, ruleset, prep)
+            tags, _score = _decode(model, ruleset, prep, emits)
             flagged = False
         except NoValidPath:
-            tags, _score = viterbi_decode(model, None, prep)
+            tags, _score = _decode(model, None, prep, emits)
             flagged = True
         tagged.append(TaggedSentence(
             pairs=tuple((token, tag) for (token, _cls), tag in zip(prep, tags)),

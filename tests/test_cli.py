@@ -350,6 +350,33 @@ def test_non_utf8_input_file_exits_2(tmp_path, model_file, gold_file, capsys, ba
     assert str(broken) in captured.err
 
 
+def _run_cli(argv, **env):
+    """`spantag ARGV` in a child with PYTHONIOENCODING set or, when None,
+    removed: (exit code, stdout bytes)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1]), **env}
+    env = {key: value for key, value in env.items() if value is not None}
+    run = subprocess.run([sys.executable, "-m", "spantag.cli", *argv],
+                         capture_output=True, env=env)
+    return run.returncode, run.stdout
+
+
+@pytest.mark.parametrize("command", ["tag", "tokenize", "tagset"])
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_pythonioencoding(tmp_path, model_file, command, encoding):
+    src = tmp_path / "in.txt"
+    src.write_text("Él comió más « pan » .\n", encoding="utf-8")
+    argv = {
+        "tag": ["tag", str(src), "--model", str(model_file)],
+        "tokenize": ["tokenize", str(src)],
+        "tagset": ["tagset"],
+    }[command]
+    code, default = _run_cli(argv, PYTHONIOENCODING=None)
+    assert code == 0
+    default.decode("utf-8")
+    assert not default.isascii()
+    assert _run_cli(argv, PYTHONIOENCODING=encoding) == (0, default)
+
+
 @pytest.mark.parametrize("command", ["tag", "tokenize"])
 @pytest.mark.parametrize("flag, body", [
     pytest.param("--abbrev", "etc\n", id="abbrev-no-period"),
