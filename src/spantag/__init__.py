@@ -12,6 +12,7 @@ from .corpus_io import (
     VerticalDocument,
     evaluate,
     format_report,
+    format_sentence,
     format_vertical,
     parse_vertical,
     read_vertical,
@@ -47,6 +48,7 @@ from .tagger import (
     HmmModel,
     TaggedSentence,
     candidates,
+    iter_tagged,
     load_model,
     save_model,
     tag_text,

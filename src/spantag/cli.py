@@ -1,15 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: tagset, tokenize, train, tag, validate, eval.  Standard
-output carries data only, always as UTF-8; diagnostics go to standard
-error.  Exit codes: 0 success, 1 validation failures found, 2 usage or
-input errors.  No environment variables are consulted; behaviour is
-fully determined by flags, so runs are reproducible.
+output carries data only and diagnostics go to standard error, both
+always as UTF-8.  Exit codes: 0 success, 1 validation failures found,
+2 usage or input errors.  No environment variables are consulted;
+behaviour is fully determined by flags, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -36,11 +37,16 @@ def _load_lexicon(arg: str | None, seed_only: bool) -> lexmod.Lexicon:
     return lexmod.load_lexicon(arg)
 
 
-def _emit(text: str, output: str | None):
+@contextlib.contextmanager
+def _output(output: str | None):
+    """Standard output for no path or ``-``, else the file, truncated when
+    the block is entered; callers enter it only once every input has loaded,
+    so a load error leaves an existing file untouched."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            yield out
 
 
 # ------------------------------------------------------------- subcommands
@@ -70,8 +76,8 @@ def cmd_tokenize(args) -> int:
         tokens = tokenizer.merge_multiwords(
             tokens, text, tokenizer.load_multiwords(args.multiwords)
         )
-    out = "".join(f"{t.surface}\t{t.kind}\n" for t in tokens)
-    _emit(out, args.output)
+    with _output(args.output) as out:
+        out.write("".join(f"{t.surface}\t{t.kind}\n" for t in tokens))
     return EXIT_OK
 
 
@@ -100,15 +106,16 @@ def cmd_tag(args) -> int:
         tokenizer.load_multiwords(args.multiwords) if args.multiwords else ()
     )
     text = _read_input(args.input)
-    sentences = tagger.tag_text(
+    sentences = tagger.iter_tagged(
         model, lex, ruleset, text,
         enclitic_split=not args.no_enclitic_split,
         abbreviations=abbrevs,
         multiwords=multiwords,
-        jobs=args.jobs,
     )
-    doc = corpus_io.VerticalDocument(sentences=sentences)
-    _emit(corpus_io.format_vertical(doc), args.output)
+    # each sentence is written as soon as it is decoded
+    with _output(args.output) as out:
+        for sentence in sentences:
+            out.write(corpus_io.format_sentence(sentence))
     return EXIT_OK
 
 
@@ -211,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # UTF-8 whatever the locale or PYTHONIOENCODING, as for output files
+    # UTF-8 whatever the locale or PYTHONIOENCODING, as for output files;
+    # diagnostics keep the escaping error handler standard error starts with
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

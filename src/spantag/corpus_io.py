@@ -96,14 +96,14 @@ def read_vertical(path: str | Path, strict: bool = True) -> VerticalDocument:
 
 def format_vertical(doc: VerticalDocument) -> str:
     """Canonical serialization; the empty document is the empty file."""
-    chunks = []
-    for sentence in doc.sentences:
-        lines = []
-        if sentence.fallback:
-            lines.append(FALLBACK_MARK)
-        lines.extend(f"{token.surface}\t{tag.code}" for token, tag in sentence.pairs)
-        chunks.append("\n".join(lines) + "\n\n")
-    return "".join(chunks)
+    return "".join(map(format_sentence, doc.sentences))
+
+
+def format_sentence(sentence: TaggedSentence) -> str:
+    """One sentence's block of `format_vertical`, blank line included."""
+    lines = [FALLBACK_MARK] if sentence.fallback else []
+    lines.extend(f"{token.surface}\t{tag.code}" for token, tag in sentence.pairs)
+    return "\n".join(lines) + "\n\n"
 
 
 def write_vertical(doc: VerticalDocument, path: str | Path):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -786,21 +787,33 @@ def tag_text(
     multiwords: tuple[str, ...] = (),
     jobs: int = 1,
 ) -> list[TaggedSentence]:
-    """Tokenize, split sentences, and decode each one.
+    """`iter_tagged` as a list.  Decoding runs on one thread, one sentence
+    after another; `jobs` is accepted for compatibility and ignored."""
+    return list(iter_tagged(model, lexicon, ruleset, text, enclitic_split, abbreviations,
+                            multiwords))
+
+
+def iter_tagged(
+    model: HmmModel,
+    lexicon: Lexicon,
+    ruleset: RuleSet | None,
+    text: str,
+    enclitic_split: bool = True,
+    abbreviations: frozenset[str] | None = None,
+    multiwords: tuple[str, ...] = (),
+) -> Iterator[TaggedSentence]:
+    """Tokenize, split sentences, and decode each one, yielding each
+    sentence as soon as it is decoded.
 
     Sentences whose constrained decoding is infeasible fall back to
-    unconstrained decoding and come back flagged.  Decoding runs on one
-    thread, one sentence after another; `jobs` is accepted for
-    compatibility and ignored.  Each word type's split, candidates and
-    emission scores are worked out once per call and dropped on return.
+    unconstrained decoding and come back flagged.  Each word type's
+    split, candidates and emission scores are worked out once per call
+    and kept until the generator is done, so besides the text it holds
+    one sentence and memory that grows with the number of distinct types.
     """
-    tokens = tok.tokenize(text, abbreviations)
-    if multiwords:
-        tokens = tok.merge_multiwords(tokens, text, multiwords)
     types: dict[tuple[str, str, bool], tuple] = {}
     rows: dict[tuple[str, frozenset[Tag]], dict[str, float]] = {}
-    tagged = []
-    for sentence_tokens in tok.sentence_split(tokens):
+    for sentence_tokens in tok.iter_sentences(text, abbreviations, multiwords):
         prep = _prepare(sentence_tokens, model, lexicon, enclitic_split, types)
         emits = []
         for token, cls in prep:
@@ -815,8 +828,10 @@ def tag_text(
         except NoValidPath:
             tags, _score = _decode(model, None, prep, emits)
             flagged = True
-        tagged.append(TaggedSentence(
-            pairs=tuple((token, tag) for (token, _cls), tag in zip(prep, tags)),
+        # Built from a list, the tuple is made at its final size; `tuple()`
+        # of a generator grows it instead, and CPython's free lists then keep
+        # the spent tuples, which tracemalloc saw growing with the input.
+        yield TaggedSentence(
+            pairs=tuple([(token, tag) for (token, _cls), tag in zip(prep, tags)]),
             fallback=flagged,
-        ))
-    return tagged
+        )

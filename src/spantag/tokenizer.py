@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -144,26 +145,39 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     codes are single tokens of kind "code".  Unknown symbols become plain
     word tokens, so the function is total.
     """
+    return [token for token, _spaced in _scan(text, abbreviations)]
+
+
+def _scan(text: str, abbreviations: frozenset[str] | None) -> Iterator[tuple[Token, bool]]:
+    """`tokenize`, one token at a time, each paired with whether exactly
+    one space separates it from the token before.  The last token is held
+    back until the next match, so that a touching period can still fold
+    into it."""
     if abbreviations is None:
         abbreviations = default_abbreviations()
-    tokens: list[Token] = []
+    held = None
     char_pos = byte_pos = 0
     for m in _TOKEN_RE.finditer(text):
         surface = m.group()
-        start = byte_pos + len(text[char_pos:m.start()].encode("utf-8"))
-        byte_pos = start + len(surface.encode("utf-8"))
+        gap = text[char_pos:m.start()]
+        # an ASCII string's UTF-8 length is its length
+        start = byte_pos + (len(gap) if gap.isascii() else len(gap.encode("utf-8")))
+        byte_pos = start + (len(surface) if surface.isascii() else len(surface.encode("utf-8")))
         char_pos = m.end()
-        if surface == "." and tokens:
-            prev = tokens[-1]
+        if surface == "." and held is not None:
+            prev, spaced = held
             if (prev.kind == KIND_WORD and prev.span[1] == start
                     and prev.surface + "." in abbreviations):
-                tokens[-1] = Token(prev.surface + ".", (prev.span[0], byte_pos), KIND_ABBREVIATION)
+                held = Token(prev.surface + ".", (prev.span[0], byte_pos), KIND_ABBREVIATION), spaced
                 continue
         kind = _GROUP_KINDS.get(m.lastgroup)
         if kind is None:
             kind = KIND_PUNCTUATION if _is_punct_char(surface) else KIND_WORD
-        tokens.append(Token(surface, (start, byte_pos), kind))
-    return tokens
+        if held is not None:
+            yield held
+        held = Token(surface, (start, byte_pos), kind), gap == " "
+    if held is not None:
+        yield held
 
 
 def merge_multiwords(tokens: list[Token], text: str, multiwords: tuple[str, ...]) -> list[Token]:
@@ -174,49 +188,50 @@ def merge_multiwords(tokens: list[Token], text: str, multiwords: tuple[str, ...]
     """
     if not multiwords:
         return list(tokens)
+    data = text.encode("utf-8")
+    spaced = [False] + [data[a.span[1]:b.span[0]] == b" " for a, b in zip(tokens, tokens[1:])]
+    return list(_merge(zip(tokens, spaced), multiwords))
+
+
+def _merge(pairs: Iterable[tuple[Token, bool]], multiwords: tuple[str, ...]) -> Iterator[Token]:
+    """`merge_multiwords` over (token, follows exactly one space) pairs,
+    one token at a time.  It looks ahead as many tokens as the longest
+    multiword has words, and tries a token's multiwords longest first."""
     by_first: dict[str, list[tuple[str, ...]]] = {}
     for mw in multiwords:
         words = tuple(mw.split(" "))
         by_first.setdefault(words[0], []).append(words)
     for seqs in by_first.values():
         seqs.sort(key=len, reverse=True)
+    longest = max(len(seqs[0]) for seqs in by_first.values())
 
-    data = text.encode("utf-8")
-    out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        match_len = 0
-        if tok.kind == KIND_WORD and tok.surface in by_first:
-            for words in by_first[tok.surface]:
+    def take(window: list[tuple[Token, bool]]) -> Token:
+        """Remove the first token of `window`, with the words of the
+        multiword it starts, if any, and return it merged."""
+        tok = window[0][0]
+        if tok.kind == KIND_WORD:
+            for words in by_first.get(tok.surface, ()):
                 n = len(words)
-                if i + n > len(tokens):
-                    continue
-                window = tokens[i : i + n]
-                if any(t.kind != KIND_WORD for t in window):
-                    continue
-                if tuple(t.surface for t in window) != words:
-                    continue
-                gaps_ok = all(
-                    data[window[k].span[1] : window[k + 1].span[0]] == b" "
-                    for k in range(n - 1)
-                )
-                if gaps_ok:
-                    match_len = n
-                    break
-        if match_len > 1:
-            start = tok.span[0]
-            end = tokens[i + match_len - 1].span[1]
-            out.append(Token(
-                surface=data[start:end].decode("utf-8"),
-                span=(start, end),
-                kind=KIND_WORD,
-            ))
-            i += match_len
-        else:
-            out.append(tok)
-            i += 1
-    return out
+                if (len(window) >= n
+                        and all(t.kind == KIND_WORD and spaced for t, spaced in window[1:n])
+                        and tuple(t.surface for t, _spaced in window[:n]) == words):
+                    end = window[n - 1][0].span[1]
+                    del window[:n]
+                    # each gap is one space, so this is the text the span covers
+                    return Token(" ".join(words), (tok.span[0], end), KIND_WORD)
+        del window[0]
+        return tok
+
+    window: list[tuple[Token, bool]] = []
+    for pair in pairs:
+        if not window and pair[0].surface not in by_first:
+            yield pair[0]  # starts no multiword
+            continue
+        window.append(pair)
+        if len(window) == longest:
+            yield take(window)
+    while window:
+        yield take(window)
 
 
 def sentence_split(tokens: list[Token]) -> list[list[Token]]:
@@ -225,16 +240,32 @@ def sentence_split(tokens: list[Token]) -> list[list[Token]]:
     Abbreviation tokens never end a sentence; trailing material forms a
     final sentence.
     """
-    sentences: list[list[Token]] = []
+    return list(iter_sentence_split(tokens))
+
+
+def iter_sentence_split(tokens: Iterable[Token]) -> Iterator[list[Token]]:
+    """`sentence_split`, one sentence at a time."""
     current: list[Token] = []
     for tok in tokens:
         current.append(tok)
         if tok.kind == KIND_PUNCTUATION and tok.surface in SENTENCE_TERMINATORS:
-            sentences.append(current)
+            yield current
             current = []
     if current:
-        sentences.append(current)
-    return sentences
+        yield current
+
+
+def iter_sentences(
+    text: str,
+    abbreviations: frozenset[str] | None = None,
+    multiwords: tuple[str, ...] = (),
+) -> Iterator[list[Token]]:
+    """``sentence_split(merge_multiwords(tokenize(text, abbreviations),
+    text, multiwords))``, one sentence at a time: what it holds is the
+    sentence and a few tokens past it, never the whole token list."""
+    pairs = _scan(text, abbreviations)
+    tokens = _merge(pairs, multiwords) if multiwords else (token for token, _spaced in pairs)
+    return iter_sentence_split(tokens)
 
 
 # --------------------------------------------------------------------------
@@ -363,12 +394,6 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
 def expand_token(token: Token, decision: SplitDecision, kind: str) -> list[Token]:
     """Materialize a split decision as tokens sharing the parent span."""
     return [
-        replace(
-            token,
-            surface=surface,
-            kind=kind,
-            origin=(decision.source, index),
-            candidates=tags,
-        )
+        Token(surface, token.span, kind, (decision.source, index), tags)
         for index, (surface, tags) in enumerate(decision.parts)
     ]

@@ -193,6 +193,43 @@ def test_tag_to_output_file(tmp_path, model_file, capsys):
     assert dst.read_text(encoding="utf-8").splitlines()[0].startswith("La\t")
 
 
+@pytest.mark.parametrize("broken", [
+    "input", "model", "lexicon", "rules", "abbrev", "multiwords", None,
+])
+def test_tag_load_error_leaves_the_output_file_untouched(tmp_path, model_file, capsys, broken):
+    """`tag` opens its output file only once every input has loaded; with
+    nothing broken, the same files tag into it."""
+    model_text = model_file.read_text(encoding="utf-8")
+    good_and_bad = {
+        "input": ("La mesa . La mano .", b"La mesa . La \xffmano ."),
+        "model": (model_text, model_text.replace("\ncount.ARTDFS\t2\n", "\ncount.ARTDFS\tx\n")),
+        "lexicon": ("mesa\tNCFS\n", "mesa\tNCFZ\n"),
+        "rules": ("FORBID ARTDFS NCMP\n", "FORBID ARTDFS\n"),
+        "abbrev": ("etc.\n", "etc\n"),
+        "multiwords": ("sin embargo\n", "embargo\n"),
+    }
+    files = {}
+    for name, (good, bad) in good_and_bad.items():
+        files[name] = tmp_path / f"{name}.txt"
+        text = bad if name == broken else good
+        files[name].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    dst = tmp_path / "out.vrt"
+    dst.write_bytes(b"earlier output\n")
+    argv = ["tag", str(files["input"]), "--model", str(files["model"]), "-o", str(dst)]
+    for name in ("lexicon", "rules", "abbrev", "multiwords"):
+        argv += [f"--{name}", str(files[name])]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if broken is None:
+        assert (code, captured.err) == (0, "")
+        assert dst.read_text(encoding="utf-8").startswith("La\t")
+        return
+    assert code == 2
+    assert captured.err.startswith(f"spantag: {files[broken]}")
+    assert dst.read_bytes() == b"earlier output\n"
+
+
 def test_tag_deterministic_with_jobs(tmp_path, model_file, capsys):
     src = tmp_path / "in.txt"
     src.write_text("La mesa . El libro . Come bien .", encoding="utf-8")
@@ -352,12 +389,12 @@ def test_non_utf8_input_file_exits_2(tmp_path, model_file, gold_file, capsys, ba
 
 def _run_cli(argv, **env):
     """`spantag ARGV` in a child with PYTHONIOENCODING set or, when None,
-    removed: (exit code, stdout bytes)."""
+    removed: (exit code, stdout bytes, stderr bytes)."""
     env = {**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1]), **env}
     env = {key: value for key, value in env.items() if value is not None}
     run = subprocess.run([sys.executable, "-m", "spantag.cli", *argv],
                          capture_output=True, env=env)
-    return run.returncode, run.stdout
+    return run.returncode, run.stdout, run.stderr
 
 
 @pytest.mark.parametrize("command", ["tag", "tokenize", "tagset"])
@@ -370,11 +407,20 @@ def test_stdout_is_utf8_whatever_pythonioencoding(tmp_path, model_file, command,
         "tokenize": ["tokenize", str(src)],
         "tagset": ["tagset"],
     }[command]
-    code, default = _run_cli(argv, PYTHONIOENCODING=None)
+    code, default, _err = _run_cli(argv, PYTHONIOENCODING=None)
     assert code == 0
     default.decode("utf-8")
     assert not default.isascii()
-    assert _run_cli(argv, PYTHONIOENCODING=encoding) == (0, default)
+    assert _run_cli(argv, PYTHONIOENCODING=encoding)[:2] == (0, default)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stderr_is_utf8_whatever_pythonioencoding(tmp_path, encoding):
+    corpus = tmp_path / "g\u00f3l\u0434.vrt"
+    corpus.write_text("mesa\tNCFZ\n", encoding="utf-8")
+    argv = ["train", "--corpus", str(corpus), "--model", str(tmp_path / "new.model")]
+    message = f"spantag: {corpus}: line 1: unknown tag 'NCFZ'\n".encode("utf-8")
+    assert _run_cli(argv, PYTHONIOENCODING=encoding) == (2, b"", message)
 
 
 @pytest.mark.parametrize("command", ["tag", "tokenize"])
