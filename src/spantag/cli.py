@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 
 from . import bias, corpus_io, lexicon as lexmod, tagger, tagset, tokenizer
-from .errors import TaggingError, read_utf8, utf8_decoding
+from .errors import TaggingError, decode_utf8, read_utf8
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -23,12 +24,9 @@ EXIT_USAGE = 2
 
 
 def _read_input(path: str) -> str:
-    if path != "-":
-        return read_utf8(path)
-    # strict UTF-8 whatever the locale, as for input files
-    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    with utf8_decoding("standard input"):
-        return sys.stdin.read()
+    if path == "-":  # bytes decoded as a file's are, whatever the locale
+        return decode_utf8(sys.stdin.buffer.read(), "standard input")
+    return read_utf8(path)
 
 
 def _load_lexicon(arg: str | None, seed_only: bool) -> lexmod.Lexicon:
@@ -67,17 +65,13 @@ def cmd_tagset(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    abbrevs = (
-        tokenizer.load_abbreviations(args.abbrev) if args.abbrev else None
-    )
+    abbrevs = tokenizer.load_abbreviations(args.abbrev) if args.abbrev else None
+    multiwords = tokenizer.load_multiwords(args.multiwords) if args.multiwords else ()
     text = _read_input(args.input)
-    tokens = tokenizer.tokenize(text, abbrevs)
-    if args.multiwords:
-        tokens = tokenizer.merge_multiwords(
-            tokens, text, tokenizer.load_multiwords(args.multiwords)
-        )
+    # each sentence is written as soon as it is tokenized, as in `cmd_tag`
     with _output(args.output) as out:
-        out.write("".join(f"{t.surface}\t{t.kind}\n" for t in tokens))
+        for sentence in tokenizer.iter_sentences(text, abbrevs, multiwords):
+            out.write("".join(f"{t.surface}\t{t.kind}\n" for t in sentence))
     return EXIT_OK
 
 
@@ -102,9 +96,7 @@ def cmd_tag(args) -> int:
     lex = _load_lexicon(args.lexicon, args.seed_lexicon_only)
     ruleset = bias.load_rules(args.rules) if args.rules else None
     abbrevs = tokenizer.load_abbreviations(args.abbrev) if args.abbrev else None
-    multiwords = (
-        tokenizer.load_multiwords(args.multiwords) if args.multiwords else ()
-    )
+    multiwords = tokenizer.load_multiwords(args.multiwords) if args.multiwords else ()
     text = _read_input(args.input)
     sentences = tagger.iter_tagged(
         model, lex, ruleset, text,
@@ -135,6 +127,7 @@ def cmd_validate(args) -> int:
                     f"pair '{pair}' violates rule at line {rule_id}"
                 )
                 violations += 1
+    sys.stdout.flush()  # a closed pipe ends the run before the summary
     print(
         f"spantag validate: {violations} violation(s) in {doc.provenance}",
         file=sys.stderr,
@@ -225,7 +218,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output, so it has all it wants: stop
+        # quietly.  Standard output now points at the null device, where the
+        # flush at exit cannot fail again.  `validate` writes only violations.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VIOLATIONS if args.func is cmd_validate else EXIT_OK
     except (TaggingError, OSError) as exc:
         print(f"spantag: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,6 @@ report reads ``<file>: line N: <message>``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -99,14 +98,13 @@ class AlignmentError(TaggingError):
         super().__init__(f"token streams diverge at position {position}{detail}")
 
 
-@contextmanager
-def utf8_decoding(name: str):
-    """Turn a UTF-8 decode failure inside the block into a TaggingError
-    that names the input and the 1-based line of the first bad byte."""
+def decode_utf8(data: bytes, name: str) -> str:
+    """`data` as strict UTF-8, else a TaggingError that names the input
+    and the 1-based line of the first bad byte."""
     try:
-        yield
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
         raise TaggingError(f"{name} is not valid UTF-8 at line {line}: {exc}") from None
 
 
@@ -115,14 +113,13 @@ def read_utf8(path: str | Path) -> str:
     are (no newline translation: `split_lines` reads them).  Every input
     file goes through here, so bytes that are not UTF-8 raise a
     TaggingError naming the file."""
-    with utf8_decoding(str(path)):
-        return Path(path).read_bytes().decode("utf-8")
+    return decode_utf8(Path(path).read_bytes(), str(path))
 
 
 def split_lines(text: str) -> list[str]:
     """`text` cut at each ``\\n``, with one ``\\r`` before it dropped, so a
     CRLF file reads as its LF copy.  No other character ends a line, as in
-    `utf8_decoding` and unlike `str.splitlines`; a final ``\\n`` is
+    `decode_utf8` and unlike `str.splitlines`; a final ``\\n`` is
     followed by one last, empty line."""
     return text.replace("\r\n", "\n").split("\n")
 

@@ -382,11 +382,23 @@ def save_model(model: HmmModel, path: str | Path):
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < _COUNT_LIMIT:
+def _count(text: str, least: int = 0) -> int:
+    """`text` as a count of at least `least`, spelled in ASCII digits
+    only, else a ValueError.  `int` alone would also take signs, blanks,
+    ``_`` and non-ASCII digits."""
+    if text.isascii() and text.isdigit() and len(text) < 20:
+        value = int(text)
+        if least <= value < _COUNT_LIMIT:
+            return value
+    raise ValueError(text)
+
+
+def _smoothing_text(name: str, text: str) -> float:
+    """`text` as a smoothing constant, spelled in ASCII with no ``_`` and
+    no blanks around it, which `float` alone would take."""
+    if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(text)
-    return value
+    return _smoothing_constant(name, float(text))
 
 
 def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[str, int], str, int]:
@@ -401,8 +413,8 @@ def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[s
         except ValueError:
             raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
 
-    kt = meta_number("kt", lambda text: _smoothing_constant("kt", float(text)))
-    ke = meta_number("ke", lambda text: _smoothing_constant("ke", float(text)))
+    kt = meta_number("kt", lambda text: _smoothing_text("kt", text))
+    ke = meta_number("ke", lambda text: _smoothing_text("ke", text))
     tag_counts = {}
     for key, (_value, line_no) in meta.items():
         if key.startswith("count."):
@@ -514,9 +526,10 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
     for line_no, section, (context, outcome, count) in _data_rows(
         lines[1:], 2, meta, "count rows must be 'context<TAB>outcome<TAB>count'"
     ):
-        if not (count.isascii() and count.isdigit() and len(count) < 20
-                and 0 < int(count) < _COUNT_LIMIT):
-            raise ModelFormatError(f"count {count!r} is not a positive integer", line_no)
+        try:
+            n = _count(count, least=1)
+        except ValueError:
+            raise ModelFormatError(f"count {count!r} is not a positive integer", line_no) from None
         if section == "EMISSIONS" and outcome == UNKNOWN:
             raise ModelFormatError(
                 f"emission form {UNKNOWN!r} is reserved for unknown words", line_no
@@ -524,7 +537,7 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
         table = trans_counts if section == "TRANSITIONS" else emit_counts
         if (context, outcome) in table:
             raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
-        table[context, outcome] = n = int(count)
+        table[context, outcome] = n
         totals[section, context] = totals.get((section, context), 0) + n
         first_row.setdefault((section, context), line_no)
 

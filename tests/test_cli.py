@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import spantag
-from spantag import tagset
+from spantag import corpus_io, tagger, tagset
 from spantag.cli import main
 from spantag.tagset import REGISTRY_SIZE, export_tsv, list_by
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import synth  # noqa: E402
 
 GOLD = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nla\tARTDFS\nmano\tNCFS\n.\t.\n\n"
 
@@ -197,8 +200,9 @@ def test_tag_to_output_file(tmp_path, model_file, capsys):
     "input", "model", "lexicon", "rules", "abbrev", "multiwords", None,
 ])
 def test_tag_load_error_leaves_the_output_file_untouched(tmp_path, model_file, capsys, broken):
-    """`tag` opens its output file only once every input has loaded; with
-    nothing broken, the same files tag into it."""
+    """`tag` and `tokenize` open their output file only once every input
+    has loaded; with nothing broken, the same files tag or tokenize into
+    it.  `tokenize` reads only the input, abbreviation and multiword files."""
     model_text = model_file.read_text(encoding="utf-8")
     good_and_bad = {
         "input": ("La mesa . La mano .", b"La mesa . La \xffmano ."),
@@ -214,20 +218,26 @@ def test_tag_load_error_leaves_the_output_file_untouched(tmp_path, model_file, c
         text = bad if name == broken else good
         files[name].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     dst = tmp_path / "out.vrt"
-    dst.write_bytes(b"earlier output\n")
-    argv = ["tag", str(files["input"]), "--model", str(files["model"]), "-o", str(dst)]
-    for name in ("lexicon", "rules", "abbrev", "multiwords"):
-        argv += [f"--{name}", str(files[name])]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    if broken is None:
-        assert (code, captured.err) == (0, "")
-        assert dst.read_text(encoding="utf-8").startswith("La\t")
-        return
-    assert code == 2
-    assert captured.err.startswith(f"spantag: {files[broken]}")
-    assert dst.read_bytes() == b"earlier output\n"
+    runs = {
+        "tag": ["tag", str(files["input"]), f"--model={files['model']}",
+                f"--lexicon={files['lexicon']}", f"--rules={files['rules']}"],
+        "tokenize": ["tokenize", str(files["input"])],
+    }
+    for command, argv in runs.items():
+        if command == "tokenize" and broken in ("model", "lexicon", "rules"):
+            continue  # files `tokenize` does not read
+        dst.write_bytes(b"earlier output\n")
+        argv += [f"--abbrev={files['abbrev']}", f"--multiwords={files['multiwords']}"]
+        code = main(argv + ["-o", str(dst)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if broken is None:
+            assert (code, captured.err) == (0, "")
+            assert dst.read_text(encoding="utf-8").startswith("La\t")
+        else:
+            assert code == 2
+            assert captured.err.startswith(f"spantag: {files[broken]}")
+            assert dst.read_bytes() == b"earlier output\n"
 
 
 def test_tag_deterministic_with_jobs(tmp_path, model_file, capsys):
@@ -387,14 +397,78 @@ def test_non_utf8_input_file_exits_2(tmp_path, model_file, gold_file, capsys, ba
     assert str(broken) in captured.err
 
 
-def _run_cli(argv, **env):
-    """`spantag ARGV` in a child with PYTHONIOENCODING set or, when None,
-    removed: (exit code, stdout bytes, stderr bytes)."""
+def _run_cli(argv, stdin=b"", stdout=subprocess.PIPE, **env):
+    """`spantag ARGV` in a child under ``-X dev``, reading `stdin`, writing
+    to `stdout`, with PYTHONIOENCODING set or, when None, removed: (exit
+    code, stdout bytes or None, stderr bytes)."""
     env = {**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1]), **env}
     env = {key: value for key, value in env.items() if value is not None}
-    run = subprocess.run([sys.executable, "-m", "spantag.cli", *argv],
-                         capture_output=True, env=env)
+    run = subprocess.run([sys.executable, "-X", "dev", "-m", "spantag.cli", *argv],
+                         input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env)
     return run.returncode, run.stdout, run.stderr
+
+
+@pytest.fixture(scope="module")
+def news(tmp_path_factory):
+    """The news-stream bench workload at seed 1, its files written out and
+    a model trained on its gold corpus."""
+    work = tmp_path_factory.mktemp("news")
+    for name, content in synth.generate("news-stream", 1).files.items():
+        (work / name).write_text(content, encoding="utf-8")
+    doc = corpus_io.read_vertical(work / "gold.vrt")
+    tagger.save_model(tagger.train(doc.sentences), work / "news.model")
+    return work
+
+
+@pytest.mark.parametrize("command", ["tokenize", "tag"])
+@pytest.mark.parametrize("text", ["news-stream", "line-ends"])
+def test_stdin_reads_as_the_file_does(news, tmp_path, command, text):
+    """``-`` goes through the decoder a file goes through, byte for byte:
+    no newline translation, and a BOM or NBSP kept as it is."""
+    src = news / "input.txt"
+    if text == "line-ends":
+        src = tmp_path / "in.txt"
+        src.write_bytes("\ufeffLa mesa .\r\nEl\u00a0libro ,\rsin embargo .\r\r\nVoy\n".encode("utf-8"))
+    flags = [f"--abbrev={news / 'abbrev.txt'}", f"--multiwords={news / 'multiwords.txt'}"]
+    if command == "tag":
+        flags += [f"--model={news / 'news.model'}", f"--lexicon={news / 'lexicon.tsv'}",
+                  f"--rules={news / 'rules.txt'}"]
+    from_file = _run_cli([command, str(src), *flags])
+    assert from_file[0] == 0 and from_file[1] and from_file[2] == b""
+    assert _run_cli([command, "-", *flags], stdin=src.read_bytes()) == from_file
+
+
+@pytest.mark.parametrize("copies", [1, 1000])
+@pytest.mark.parametrize("command, code", [
+    ("tagset", 0), ("tokenize", 0), ("train", 0), ("tag", 0), ("validate", 1), ("eval", 0),
+])
+def test_closed_stdout_ends_the_run_quietly(tmp_path, model_file, command, code, copies):
+    """When the reader of standard output has gone, as after ``| head``,
+    a command stops writing and exits with nothing on standard error: 0,
+    or 1 for `validate`, which writes only violations.  One copy of the
+    inputs fills no write buffer, 1000 copies overrun it mid-stream."""
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa . La mano .\n" * copies, encoding="utf-8")
+    gold = tmp_path / "big.vrt"
+    gold.write_text(GOLD * copies, encoding="utf-8")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("FORBID ARTDFS NCFS\n", encoding="utf-8")
+    argv = {
+        "tagset": ["tagset"],
+        "tokenize": ["tokenize", str(src)],
+        "train": ["train", "--corpus", str(gold), "--model", str(tmp_path / "new.model")],
+        "tag": ["tag", str(src), "--model", str(model_file)],
+        "validate": ["validate", str(gold), "--rules", str(rules)],
+        "eval": ["eval", "--gold", str(gold), "--pred", str(gold)],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert _run_cli(argv, stdout=write_end) == (code, None, b"")
+    finally:
+        os.close(write_end)
+    if command == "train":
+        assert (tmp_path / "new.model").exists()
 
 
 @pytest.mark.parametrize("command", ["tag", "tokenize", "tagset"])
@@ -562,6 +636,31 @@ def test_tag_rejects_a_model_whose_kt_overflows_exits_2(tmp_path, model_file, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "kt 1e+308 is too large" in captured.err
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("kt", "0_5"), ("kt", " 0.5"), ("ke", "0.1 "), ("kt", "\u0660.\u0665"),
+    ("tokens", "+6"), ("tokens", " 6 "), ("tokens", "0_6"), ("tokens", "\u0666"),
+    ("count.ARTDFS", "+2"), ("count.ARTDFS", "2 "), ("count.ARTDFS", "0_2"),
+    ("count.ARTDFS", "\u0662"),
+])
+def test_tag_rejects_a_meta_number_spelled_otherwise_exits_2(tmp_path, model_file, capsys,
+                                                              key, bad):
+    """META numbers are spelled as a saved model spells them: `int` and
+    `float` alone would also take signs, blanks, ``_`` and non-ASCII
+    digits, and `float` reads ``0_5`` as 5."""
+    src = tmp_path / "in.txt"
+    src.write_text("La mesa .", encoding="utf-8")
+    lines = model_file.read_text(encoding="utf-8").split("\n")
+    line_no = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{key}\t"))
+    lines[line_no - 1] = f"{key}\t{bad}"
+    model_file.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"spantag: {model_file}: line {line_no}: bad META value {bad!r} for {key!r}\n"
+    )
 
 
 def test_train_with_a_large_constant_that_fits_exits_0(tmp_path, gold_file, capsys):

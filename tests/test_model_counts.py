@@ -168,6 +168,8 @@ BAD_LINES = {
     "count-signed": (6, "ARTDFS\tNCFS\t+3", 6),
     "count-non-ascii-digit": (6, "ARTDFS\tNCFS\t\uff13", 6),
     "count-2**63": (6, "ARTDFS\tNCFS\t9999999999999999999", 6),
+    "count-underscore": (6, "ARTDFS\tNCFS\t0_3", 6),
+    "count-blanks": (6, "ARTDFS\tNCFS\t 3 ", 6),
     "count-5000-digits": (6, "ARTDFS\tNCFS\t" + "9" * 5000, 6),
     "transition-context-unknown": (6, "BADTAG\tNCFS\t3", 6),
     "transition-context-end": (6, "</s>\tNCFS\t3", 6),
@@ -183,6 +185,17 @@ BAD_LINES = {
     "emitting-tag-without-count": (21, "", 11),
     "starts-not-ends": (3, "<s>\tARTDFS\t4", 3),
     "tokens-not-tag-total": (17, "tokens\t11", 17),
+    # META numbers are read as count rows are, and `int` or `float` alone
+    # would take each of these (``0_5`` as 5)
+    "tokens-signed": (17, "tokens\t+10", 17),
+    "tokens-blanks": (17, "tokens\t 10 ", 17),
+    "tokens-underscore": (17, "tokens\t1_0", 17),
+    "tokens-non-ascii-digits": (17, "tokens\t\u0661\u0660", 17),
+    "meta-count-signed": (22, "count.ARTDFS\t+3", 22),
+    "meta-count-underscore": (22, "count.ARTDFS\t0_3", 22),
+    "kt-underscore": (18, "kt\t0_5", 18),
+    "kt-blanks": (18, "kt\t 0.5 ", 18),
+    "ke-non-ascii-digits": (19, "ke\t\u0660.\u0661", 19),
     "kt-nan": (18, "kt\tnan", 18),
     "ke-zero": (19, "ke\t0", 19),
     "meta-count-not-integer": (22, "count.ARTDFS\tx", 22),
