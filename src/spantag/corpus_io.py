@@ -50,6 +50,9 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
     pairs: list[tuple[Token, Tag]] = []
     flagged: list[tuple[int, str]] = []
     fallback = False
+    # One Token per distinct surface: every vertical token has the same
+    # span, so equal surfaces give equal tokens anyway.
+    tokens: dict[str, Token] = {}
 
     def close_sentence():
         nonlocal pairs, fallback
@@ -80,7 +83,10 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
                 raise UnknownTag(code, line_no) from None
             flagged.append((line_no, code))
             tag = parse_tag("PNC")
-        pairs.append((_token_for(surface), tag))
+        token = tokens.get(surface)
+        if token is None:
+            token = tokens[surface] = _token_for(surface)
+        pairs.append((token, tag))
     close_sentence()
     return VerticalDocument(
         sentences=sentences, provenance=provenance, flagged=tuple(flagged)

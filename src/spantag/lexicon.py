@@ -46,7 +46,7 @@ class AmbiguityClass:
 
     @classmethod
     def of(cls, *codes: str) -> "AmbiguityClass":
-        return cls(frozenset(parse_tag(c) for c in codes))
+        return cls(frozenset(map(parse_tag, codes)))
 
     def sorted_tags(self) -> tuple[Tag, ...]:
         """Members in registry order (the canonical ordering)."""
@@ -201,6 +201,13 @@ FALLBACK_GUESS = ("NCMS", "NCFS", "ADJGMS", "ADJGFS")
 PROPER_GUESS = ("NPAXX", "NPTOS")
 
 
+# Keyed by a rule's (or the fallback's) codes, with or without the proper
+# readings, so it holds at most this many classes.
+@lru_cache(maxsize=2 * (len(SUFFIX_RULES) + 1))
+def _guess_class(codes: tuple[str, ...]) -> AmbiguityClass:
+    return AmbiguityClass.of(*codes)
+
+
 def guess_unknown(wordform: str, sentence_initial: bool = False) -> AmbiguityClass:
     """Open-class candidates for a wordform absent from the lexicon.
 
@@ -217,10 +224,9 @@ def guess_unknown(wordform: str, sentence_initial: bool = False) -> AmbiguityCla
         if len(lowered) > len(suffix) and lowered.endswith(suffix):
             codes = suffix_codes
             break
-    tags = {parse_tag(c) for c in codes}
     if wordform[:1].isupper() and not sentence_initial:
-        tags.update(parse_tag(c) for c in PROPER_GUESS)
-    return AmbiguityClass(frozenset(tags))
+        codes += PROPER_GUESS
+    return _guess_class(codes)
 
 
 def ambiguity_report(lexicon: Lexicon) -> list[tuple[str, int, tuple[str, ...]]]:

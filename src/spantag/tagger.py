@@ -599,12 +599,11 @@ def candidates(
     if token.candidates:
         return AmbiguityClass(token.candidates)
     if token.kind == tok.KIND_PUNCTUATION:
-        return AmbiguityClass(frozenset({parse_tag(punctuation_tag(token.surface))}))
+        return AmbiguityClass.of(punctuation_tag(token.surface))
     if token.kind == tok.KIND_NUMBER:
-        code = "CARDGU" if "-" in token.surface else "CARDXP"
-        return AmbiguityClass(frozenset({parse_tag(code)}))
+        return AmbiguityClass.of("CARDGU" if "-" in token.surface else "CARDXP")
     if token.kind == tok.KIND_CODE:
-        return AmbiguityClass(frozenset({parse_tag("CODE")}))
+        return AmbiguityClass.of("CODE")
     found = lexicon.lookup(token.surface)
     if found is not None:
         return found
@@ -755,12 +754,13 @@ def _prepare(
     sentence initial): the split decision or None, the parts' kind and
     the candidate classes.  The parts themselves are built per token,
     since their spans differ."""
-    first_wordish: tok.Token | None = next(
-        (t for t in sentence_tokens if t.kind != tok.KIND_PUNCTUATION), None
+    # By position, not identity: one Token object may occur twice.
+    first_wordish = next(
+        (i for i, t in enumerate(sentence_tokens) if t.kind != tok.KIND_PUNCTUATION), None
     )
     prepared: list[tuple[tok.Token, AmbiguityClass]] = []
-    for token in sentence_tokens:
-        initial = token is first_wordish
+    for i, token in enumerate(sentence_tokens):
+        initial = i == first_wordish
         key = (token.surface, token.kind, initial)
         resolved = types.get(key) if token.candidates is None else None
         if resolved is None:

@@ -213,7 +213,7 @@ def _parse_row(line_no: int, line: str) -> RegistryEntry:
     examples = () if row["EXAMPLES"] == "-" else tuple(row["EXAMPLES"].split(","))
     notes = "" if row["NOTES"] == "-" else row["NOTES"]
     return RegistryEntry(
-        tag=Tag(row["TAG"]),
+        tag=parse_tag(row["TAG"]),
         features=FeatureBundle(**kwargs),
         description=row["DESCRIPTION"],
         examples=examples,
@@ -283,9 +283,19 @@ def load_registry() -> Registry:
     return Registry(entries)
 
 
+# code -> the one shared Tag; filled only after `Tag` has validated the
+# code, so it never holds more than the registry's codes.
+_TAGS: dict[str, Tag] = {}
+
+
 def parse_tag(code: str) -> Tag:
-    """Return the registry tag for `code`; raise UnknownTag otherwise."""
-    return Tag(code)
+    """Return the registry tag for `code`, the same object on every call;
+    raise UnknownTag otherwise."""
+    tag = _TAGS.get(code)
+    if tag is None:
+        # setdefault keeps one object per code when two threads race here
+        tag = _TAGS.setdefault(code, Tag(code))
+    return tag
 
 
 def decompose(tag: Tag) -> FeatureBundle:

@@ -353,6 +353,8 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
         return None
     surface = token.surface
     lowered = surface.lower()
+    if not lowered.endswith(_CLITICS_ORDERED):
+        return None
 
     def attempt(clitics: tuple[str, ...]) -> SplitDecision | None:
         suffix_len = sum(len(c) for c in clitics)

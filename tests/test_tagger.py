@@ -21,6 +21,7 @@ from spantag.tagger import (
     load_model,
     model_from_text,
     model_to_text,
+    prepare_sentence,
     save_model,
     tag_text,
     train,
@@ -579,6 +580,18 @@ def test_tag_text_la_mesa(toy_corpus):
     assert first_token.surface == "La"
     assert first_tag.code in ("ARTDFS", "PPO3FS")
     assert out[0].pairs[-1][1].code == "."
+
+
+def test_prepare_sentence_marks_only_the_first_position_initial(toy_corpus):
+    """One Token object twice in a sentence, as `parse_vertical` shares
+    them: only its first occurrence is sentence initial, so the later one
+    keeps the proper-noun guesses."""
+    t = Token("Pérez", (-1, -1), KIND_WORD)
+    prepared = prepare_sentence([t, Token("vino", (-1, -1), KIND_WORD), t],
+                                train(toy_corpus), seed_lexicon())
+    proper = {parse_tag("NPAXX"), parse_tag("NPTOS")}
+    assert not proper & prepared[0][1].tags
+    assert proper <= prepared[2][1].tags
 
 
 def test_tag_text_splits_portmanteau_and_enclitics():

@@ -80,6 +80,30 @@ def test_parse_tag_unknown():
         Tag("ncfs")  # case sensitive
 
 
+def test_parse_tag_returns_one_tag_per_code():
+    registry = load_registry()
+    for code in registry.codes():
+        assert parse_tag(code) is parse_tag(code)
+        assert registry.entry(code).tag is parse_tag(code)
+
+
+def test_parse_tag_table_holds_only_registry_codes():
+    """A code enters the shared table only once `Tag` has accepted it, so
+    no run of bad codes can grow the table past the registry."""
+    with pytest.raises(UnknownTag):
+        parse_tag("NCFZ")
+    assert "NCFZ" not in tagset._TAGS
+    rejected = 0
+    for i in range(10_000):
+        try:
+            parse_tag(f"NCFZ{i}")
+        except UnknownTag:
+            rejected += 1
+    assert rejected == 10_000
+    assert len(tagset._TAGS) <= REGISTRY_SIZE
+    assert set(tagset._TAGS) <= set(load_registry().codes())
+
+
 def test_parse_tag_fuzz_never_crashes():
     rng = random.Random(20240)
     alphabet = string.ascii_letters + string.digits + ".,;:!?()-\"' "

@@ -1,6 +1,8 @@
 """Tokenization, splitting and sentence segmentation tests."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,9 @@ from spantag.tokenizer import (
     split_portmanteau,
     tokenize,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import synth  # noqa: E402
 
 
 def word(surface):
@@ -364,6 +369,74 @@ def test_pruned_enclitic_search_matches_exhaustive_reference():
             pairs += len(expected.parts) == 3
     # the fuzz must reach both one- and two-clitic splits
     assert splits >= 300 and pairs >= 100, (splits, pairs)
+
+
+def previous_split_enclitics(token, lexicon):
+    """Reference: `split_enclitics` as it was before it returned early for
+    a word that ends with no clitic."""
+    if token.kind != KIND_WORD:
+        return None
+    surface = token.surface
+    lowered = surface.lower()
+
+    def attempt(clitics):
+        suffix_len = sum(len(c) for c in clitics)
+        if len(surface) <= suffix_len:
+            return None
+        stem = surface[: len(surface) - suffix_len]
+        hosted = _host_tags(stem, lexicon)
+        if hosted is None:
+            return None
+        stem_form, host_tags = hosted
+        parts = [(stem_form, host_tags)]
+        parts.extend(
+            (clitic, frozenset({parse_tag(CLITIC_TAGS[clitic])}))
+            for clitic in clitics
+        )
+        return SplitDecision(
+            parts=tuple(parts),
+            confidence=CONFIDENCE_HEURISTIC,
+            source=surface,
+        )
+
+    # Only groups that the lowered surface ends with are attempted, in the
+    # fixed order: every (first, last) pair, then every single clitic.
+    endings = [last for last in _CLITICS_ORDERED if lowered.endswith(last)]
+    for last in endings:
+        rest = lowered[: len(lowered) - len(last)]
+        for first in _CLITICS_ORDERED:
+            if rest.endswith(first):
+                decision = attempt((first, last))
+                if decision is not None:
+                    return decision
+    for last in endings:
+        decision = attempt((last,))
+        if decision is not None:
+            return decision
+    return None
+
+
+def test_early_return_matches_the_previous_enclitic_search():
+    """Every form of the generated lexicons and of the seed, each form
+    with every clitic and with random clitic pairs after it, capitalized
+    or not."""
+    rng = random.Random(20261019)
+    clitics = list(CLITIC_TAGS)
+    splits = 0
+    for workload in ("news-stream", "long-sentence"):
+        lexicon = parse_lexicon(synth.generate(workload, 1).files["lexicon.tsv"])
+        forms = [form for form, _cls in lexicon.items()]
+        surfaces = set(forms)
+        for form in forms:
+            surfaces.update(form + c for c in clitics)
+            surfaces.update(form + "".join(rng.sample(clitics, 2)) for _ in range(3))
+        surfaces.update([s[:1].upper() + s[1:] for s in surfaces if rng.random() < 0.2])
+        for surface in sorted(surfaces):
+            token = word(surface)
+            expected = previous_split_enclitics(token, lexicon)
+            assert split_enclitics(token, lexicon) == expected, surface
+            splits += expected is not None
+    assert splits >= 100, splits
 
 
 # --------------------------------------------------------------- resources
