@@ -7,35 +7,36 @@ left pattern matches a tag, its successor matches the right pattern
 (the sentence-final position is exempt because it has no successor).
 
 Constraints intersect, so evaluation is order independent and adding a
-rule can only shrink the allowed relation.  Patterns are shell-style
-globs.  A rule set compiles each rule once, when it is built, to the
-registry codes its left pattern matches and the right codes it bans;
-the banned-pair table for constant-time queries and the rule that
-`validate_sequence` reports are both read from those sets.
+rule can only shrink the allowed relation.  In a pattern, ``?`` matches
+any one character and a final ``*`` any suffix, possibly empty; every
+other character matches itself.  A rule set compiles each rule once,
+when it is built, to the registry codes its left pattern matches and
+the right codes it bans, matching each distinct pattern once against
+all codes; the banned-pair table for constant-time queries and the rule
+that `validate_sequence` reports are both read from those sets.
 """
 
 from __future__ import annotations
 
-import fnmatch
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BadPattern, RuleSyntaxError, content_lines, parse_file
-from .tagset import Tag, load_registry
+from .tagset import Tag, table_columns
 
 FORBID = "forbid"
 REQUIRE = "require"
 
 # Literal characters a pattern may use: the alphabet of registry codes.
 # "?" is the single-character wildcard, a trailing "*" matches any suffix.
-# None of them is special to fnmatch ("[" is left out), so a pattern is a
-# shell-style glob with exactly these meanings.
 _LITERAL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" + '!"(),-.:;')
 
 
 @dataclass(frozen=True)
 class TagPattern:
-    """Shell-style glob over tag codes."""
+    """Wildcard pattern over tag codes: ``?`` for one character, a final
+    ``*`` for any suffix."""
 
     pattern: str
 
@@ -48,6 +49,14 @@ class TagPattern:
         bad = [c for c in body if c != "?" and c not in _LITERAL_CHARS]
         if bad:
             raise BadPattern(self.pattern, f"invalid character {bad[0]!r}")
+
+    def regex(self) -> str:
+        """A regular expression that, under re.MULTILINE, matches exactly
+        the lines of a newline-joined code list that this pattern matches."""
+        star = self.pattern.endswith("*")
+        body = self.pattern[:-1] if star else self.pattern
+        parts = ["[^\n]" if c == "?" else re.escape(c) for c in body]
+        return "^" + "".join(parts) + ("[^\n]*" if star else "") + "$"
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,21 @@ class RuleSet:
         # (rule id, left codes, banned right codes) of each rule, in file order
         self._bans: list[tuple[int, frozenset[str], frozenset[str]]] = []
         banned: dict[str, set[str]] = {}
-        codes = load_registry().codes() if self.rules else ()  # no rules: no registry
+        codes = table_columns().codes if self.rules else ()  # no rules: no table read
+        joined = "\n".join(codes)
+        matches: dict[str, list[str]] = {}  # pattern -> its codes, in registry order
+
+        def match(pattern: TagPattern, rule_id: int) -> list[str]:
+            found = matches.get(pattern.pattern)
+            if found is None:
+                found = matches[pattern.pattern] = re.findall(pattern.regex(), joined, re.M)
+            if not found:
+                raise BadPattern(pattern.pattern, "matches no registry tag", rule_id)
+            return found
+
         for rule in self.rules:
-            lefts = fnmatch.filter(codes, rule.left.pattern)
-            rights = frozenset(fnmatch.filter(codes, rule.right.pattern))
-            for pattern, matched in ((rule.left, lefts), (rule.right, rights)):
-                if not matched:
-                    raise BadPattern(pattern.pattern, "matches no registry tag", rule.rule_id)
+            lefts = match(rule.left, rule.rule_id)
+            rights = frozenset(match(rule.right, rule.rule_id))
             if rule.kind == REQUIRE:
                 rights = frozenset(codes) - rights
             self._bans.append((rule.rule_id, frozenset(lefts), rights))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import EmptyInput, LexiconParseError, UnknownTag, content_lines, parse_file
-from .tagset import Tag, load_registry, parse_tag
+from .tagset import Tag, parse_tag, table_columns
 
 # Registry categories whose example forms seed the built-in lexicon.
 SEED_CATEGORIES = frozenset({
@@ -42,7 +42,8 @@ class AmbiguityClass:
     def __post_init__(self):
         if not self.tags:
             raise ValueError("ambiguity class must not be empty")
-        object.__setattr__(self, "_ordered", tuple(sorted(self.tags, key=load_registry().index)))
+        index = table_columns().index
+        object.__setattr__(self, "_ordered", tuple(sorted(self.tags, key=lambda t: index[t.code])))
 
     @classmethod
     def of(cls, *codes: str) -> "AmbiguityClass":
@@ -106,11 +107,11 @@ class Lexicon:
 def seed_lexicon() -> Lexicon:
     """Built-in closed-class lexicon from the registry example forms."""
     entries: dict[str, AmbiguityClass] = {}
-    for entry in load_registry():
-        if entry.features.category not in SEED_CATEGORIES:
-            continue
-        for form in entry.examples:
-            _add(entries, form, frozenset({entry.tag}))
+    columns = table_columns()
+    for code, category, examples in zip(columns.codes, columns.category, columns.examples):
+        if category in SEED_CATEGORIES:
+            for form in examples:
+                _add(entries, form, frozenset({parse_tag(code)}))
     return Lexicon(entries, source="<seed>")
 
 

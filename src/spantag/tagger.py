@@ -27,7 +27,7 @@ from .errors import (
     split_lines,
 )
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
-from .tagset import Tag, load_registry, parse_tag
+from .tagset import Tag, _code_set, parse_tag, table_columns
 from . import tokenizer as tok
 
 START = "<s>"
@@ -104,25 +104,22 @@ class HmmModel:
         self.transition_counts = transition_counts or {}
         self.emission_counts = emission_counts or {}
 
-        registry = load_registry()
-        self._uniform_trans = (1.0 / (len(registry) + 1), {})
+        codes = table_columns().codes
+        self._uniform_trans = (1.0 / (len(codes) + 1), {})
         self._uniform_emit = (1.0 / (len(self.vocab) + 1), {})
-        denom = _add_k_denominator("kt", kt, sum(self.tag_counts.values()), len(registry))
-        self._priors = {
-            code: (self.tag_counts.get(code, 0) + kt) / denom
-            for code in registry.codes()
-        }
+        denom = _add_k_denominator("kt", kt, sum(self.tag_counts.values()), len(codes))
+        self._priors = {code: (self.tag_counts.get(code, 0) + kt) / denom for code in codes}
         # A zero or subnormal probability makes a log10 or an unknown-word
         # share fail or lose its precision while tagging.
         if min(self._priors.values()) < _MIN_PROB:
             raise ModelFormatError(
                 f"kt {kt!r} is too small: a tag prior is zero or subnormal"
             )
-        codes = set(registry.codes())
+        code_set = _code_set()
         self._store_rows(
-            _sparse_rows("transition", transitions, codes | {START}, codes | {END},
+            _sparse_rows("transition", transitions, code_set | {START}, code_set | {END},
                          f"the registry plus {END}"),
-            _sparse_rows("emission", emissions, codes, self.vocab | {UNKNOWN},
+            _sparse_rows("emission", emissions, code_set, self.vocab | {UNKNOWN},
                          f"the vocabulary plus {UNKNOWN}"),
         )
 
@@ -142,7 +139,7 @@ class HmmModel:
     @property
     def transitions(self) -> dict[str, dict[str, float]]:
         """Full transition rows over registry order then END, built on access."""
-        return _full_rows(self._transitions, list(load_registry().codes()) + [END])
+        return _full_rows(self._transitions, [*table_columns().codes, END])
 
     @property
     def emissions(self) -> dict[str, dict[str, float]]:
@@ -227,7 +224,7 @@ def train(
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
 
-    registry = load_registry()
+    codes = _code_set()
     trans_counts: dict[tuple[str, str], int] = {}
     emit_counts: dict[tuple[str, str], int] = {}
     tag_counts: dict[str, int] = {}
@@ -240,7 +237,7 @@ def train(
         prev = START
         for position, (token, tag) in enumerate(sentence.pairs):
             code = tag.code
-            if code not in registry:
+            if code not in codes:
                 raise UnknownTag(code)
             if token.surface == UNKNOWN:
                 raise TaggingError(
@@ -283,12 +280,12 @@ def _smoothed_model(
     # built first, so that its constructor checks kt and ke before they divide
     model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, token_count,
                      trans_counts, emit_counts)
-    registry = load_registry()
-    seen_tags = [c for c in registry.codes() if c in tag_counts]
+    codes = table_columns().codes
+    seen_tags = [c for c in codes if c in tag_counts]
     context_totals = dict.fromkeys([START] + seen_tags, 0)
     for (prev, _nxt), n in trans_counts.items():
         context_totals[prev] += n
-    trans_denoms = {c: _add_k_denominator("kt", kt, total, len(registry) + 1)
+    trans_denoms = {c: _add_k_denominator("kt", kt, total, len(codes) + 1)
                     for c, total in context_totals.items()}
     transitions = {c: (kt / d, {}) for c, d in trans_denoms.items()}
     for (prev, nxt), n in trans_counts.items():
@@ -307,7 +304,7 @@ def _smoothed_model(
 # ------------------------------------------------------------------ model IO
 
 def _registry_order() -> dict[str, int]:
-    order = {code: i for i, code in enumerate(load_registry().codes())}
+    order = dict(table_columns().index)
     order[START] = -1
     order[END] = len(order)
     return order
@@ -444,7 +441,7 @@ def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, 
     key -> (value, line number).  Blank lines are skipped; data before the
     first section header, rows of the wrong width and rows whose context
     or outcome no model can hold are rejected."""
-    codes = frozenset(load_registry().codes())
+    codes = _code_set()
     contexts, outcomes = codes | {START}, codes | {END}
     section = None
     for line_no, raw in enumerate(lines, start=first_line_no):
@@ -516,7 +513,6 @@ def _model_from_v1(lines: list[str]) -> HmmModel:
 def _model_from_counts(lines: list[str]) -> HmmModel:
     """Parse a counts file, check that its counts agree with each other,
     and smooth them as `train` does."""
-    registry = load_registry()
     trans_counts: dict[tuple[str, str], int] = {}
     emit_counts: dict[tuple[str, str], int] = {}
     # (section, context) -> the sum of its counts, and its first line number
@@ -543,7 +539,7 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
 
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
 
-    for code in registry.codes():
+    for code in table_columns().codes:
         emitted = totals.get(("EMISSIONS", code), 0)
         outgoing = totals.get(("TRANSITIONS", code), 0)
         if emitted and code not in tag_counts:
@@ -620,7 +616,7 @@ _PUNCT_TAG_FALLBACKS = {
 
 def punctuation_tag(surface: str) -> str:
     """Registry tag code for a punctuation surface (PNC when unmapped)."""
-    if surface in load_registry():
+    if surface in _code_set():
         return surface
     return _PUNCT_TAG_FALLBACKS.get(surface, "PNC")
 

@@ -6,15 +6,23 @@ table (`_tagset_data`).  Tag names are mnemonic but irregular, so the
 table is the sole source of truth; nothing here derives features from
 the shape of a code.
 
-All values are immutable after `load_registry()` and safe to share
-across threads.
+The table is read at two depths.  `table_columns()` reads the codes, in
+registry order, and the few columns that tagging needs (category, mood,
+examples); it checks the header, each row's width, the entry count and
+that no code repeats.  `load_registry()` builds a `FeatureBundle` for
+every row on top of that read, checking each value's spelling and that
+no two tags share a bundle; only the feature API (`decompose`,
+`compose`, `format_features`, `list_by`, `export_tsv` and the `tagset`
+command) needs it.
+
+All values are immutable once read and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _tagset_data
 from .errors import NoSuchTag, RegistryError, UnknownTag, split_lines
@@ -182,26 +190,68 @@ def _cell(bundle: FeatureBundle, field_name: str) -> str:
     return "-" if value == _DEFAULTS[field_name] else _spell(value)
 
 
+def _table_rows() -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each row of the embedded table, after
+    checking the header and the row's width."""
+    lines = split_lines(_tagset_data.TABLE)
+    if not lines or lines[0].split("\t") != list(_COLUMNS):
+        raise RegistryError("embedded table header does not match the column layout")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line:
+            cells = line.split("\t")
+            if len(cells) != len(_COLUMNS):
+                raise RegistryError(f"table row {line_no}: expected {len(_COLUMNS)} columns")
+            yield line_no, cells
+
+
+class TableColumns(NamedTuple):
+    """The table columns that tagging reads.  `category`, `mood` and
+    `examples` run parallel to `codes`; an unmarked mood is ``none``.
+    One instance is shared by every caller, so `index` is read only."""
+
+    codes: tuple[str, ...]  # registry order
+    index: dict[str, int]  # code -> position in `codes`
+    category: tuple[str, ...]
+    mood: tuple[str, ...]
+    examples: tuple[tuple[str, ...], ...]
+
+
+# Checked size of the closed inventory; the loader refuses a table that
+# does not contain exactly this many entries.
+REGISTRY_SIZE = 492
+
+_CATEGORY, _MOOD, _EXAMPLES = (_COLUMNS.index(c) for c in ("CATEGORY", "MOOD", "EXAMPLES"))
+
+
 @lru_cache(maxsize=1)
-def _table_lines() -> tuple[str, ...]:
-    """The embedded table's lines, header first, cut once for both readers."""
-    return tuple(split_lines(_tagset_data.TABLE))
+def table_columns() -> TableColumns:
+    """Read the codes and the columns tagging needs, without building a
+    feature bundle.  Checks the header, each row's width, the entry
+    count and that no code repeats; `load_registry` checks the rest."""
+    codes, category, mood, examples = [], [], [], []
+    for _line_no, cells in _table_rows():
+        codes.append(cells[0])
+        category.append(cells[_CATEGORY])
+        mood.append(_DEFAULTS["mood"] if cells[_MOOD] == "-" else cells[_MOOD])
+        examples.append(() if cells[_EXAMPLES] == "-" else tuple(cells[_EXAMPLES].split(",")))
+    if len(codes) != REGISTRY_SIZE:
+        raise RegistryError(f"embedded table has {len(codes)} entries, expected {REGISTRY_SIZE}")
+    index = {code: i for i, code in enumerate(codes)}
+    if len(index) != len(codes):
+        raise RegistryError("duplicate tag codes in embedded table")
+    return TableColumns(tuple(codes), index, tuple(category), tuple(mood), tuple(examples))
 
 
 @lru_cache(maxsize=1)
 def _code_set() -> frozenset[str]:
-    """The registry's codes, read from the table's first column without
-    building the registry.  `Tag` checks membership here, so making a tag
-    never pays for `load_registry`, which parses every row into a feature
-    bundle (over 20 times the cost of this set), and work that needs no
-    features, such as `validate` without rules, never builds it."""
-    return frozenset(line.split("\t", 1)[0] for line in _table_lines()[1:] if line)
+    """The registry's codes, from `table_columns`.  `Tag` checks
+    membership here, so making a tag never builds the registry, and work
+    that needs no features, such as tagging, training and validating,
+    never pays for `load_registry`."""
+    return frozenset(table_columns().codes)
 
 
-def _parse_row(line_no: int, line: str) -> RegistryEntry:
-    cells = line.split("\t")
-    if len(cells) != len(_COLUMNS):
-        raise RegistryError(f"table row {line_no}: expected {len(_COLUMNS)} columns")
+def _parse_row(line_no: int, cells: list[str], examples: tuple[str, ...]) -> RegistryEntry:
     row = dict(zip(_COLUMNS, cells))
     try:
         kwargs = {
@@ -210,7 +260,6 @@ def _parse_row(line_no: int, line: str) -> RegistryEntry:
         }
     except ValueError as exc:
         raise RegistryError(f"table row {line_no}: {exc}") from None
-    examples = () if row["EXAMPLES"] == "-" else tuple(row["EXAMPLES"].split(","))
     notes = "" if row["NOTES"] == "-" else row["NOTES"]
     return RegistryEntry(
         tag=parse_tag(row["TAG"]),
@@ -262,25 +311,15 @@ class Registry:
         return tuple(e.tag.code for e in self.entries)
 
 
-# Checked size of the closed inventory; the loader refuses a table that
-# does not contain exactly this many entries.
-REGISTRY_SIZE = 492
-
-
 @lru_cache(maxsize=1)
 def load_registry() -> Registry:
-    """Load the embedded tag table.  Idempotent; cached after first call."""
-    lines = _table_lines()
-    if not lines or lines[0].split("\t") != list(_COLUMNS):
-        raise RegistryError("embedded table header does not match the column layout")
-    entries = tuple(
-        _parse_row(i, line) for i, line in enumerate(lines[1:], start=2) if line
-    )
-    if len(entries) != REGISTRY_SIZE:
-        raise RegistryError(
-            f"embedded table has {len(entries)} entries, expected {REGISTRY_SIZE}"
-        )
-    return Registry(entries)
+    """Build every entry's feature bundle on top of `table_columns`.
+    Idempotent; cached after first call."""
+    columns = table_columns()  # header, row widths, entry count and unique codes
+    return Registry(tuple(
+        _parse_row(line_no, cells, examples)
+        for (line_no, cells), examples in zip(_table_rows(), columns.examples)
+    ))
 
 
 # code -> the one shared Tag; filled only after `Tag` has validated the

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import TaggingError, content_lines, parse_file
 from .lexicon import Lexicon
-from .tagset import Tag, decompose, load_registry, parse_tag
+from .tagset import Tag, parse_tag, table_columns
 
 KIND_WORD = "word"
 KIND_PUNCTUATION = "punctuation"
@@ -76,11 +76,13 @@ _TOKEN_RE = re.compile(
 @lru_cache(maxsize=1)
 def default_abbreviations() -> frozenset[str]:
     """Abbreviations from the registry's title and unit example forms."""
-    forms = set()
-    for entry in load_registry():
-        if entry.features.category in ("title-noun", "unit-of-measure"):
-            forms.update(f for f in entry.examples if f.endswith("."))
-    return frozenset(forms)
+    columns = table_columns()
+    return frozenset(
+        form
+        for category, examples in zip(columns.category, columns.examples)
+        if category in ("title-noun", "unit-of-measure")
+        for form in examples if form.endswith(".")
+    )
 
 
 def _is_one_word(text: str) -> bool:
@@ -290,6 +292,16 @@ _CLITICS_ORDERED = tuple(sorted(CLITIC_TAGS, key=lambda c: (-len(c), c)))
 
 _ENCLITIC_HOST_MOODS = frozenset({"imperative", "infinitive", "gerund"})
 
+
+@lru_cache(maxsize=1)
+def _enclitic_host_codes() -> frozenset[str]:
+    """Codes of the verb tags whose mood can host enclitics."""
+    columns = table_columns()
+    return frozenset(
+        code for code, category, mood in zip(columns.codes, columns.category, columns.mood)
+        if category == "verb" and mood in _ENCLITIC_HOST_MOODS
+    )
+
 _ACCENT_PLAIN = {"á": "a", "é": "e", "í": "i", "ó": "o", "ú": "u",
                  "Á": "A", "É": "E", "Í": "I", "Ó": "O", "Ú": "U"}
 
@@ -326,15 +338,12 @@ def _accent_variants(stem: str) -> list[str]:
 
 def _host_tags(stem: str, lexicon: Lexicon) -> tuple[str, frozenset[Tag]] | None:
     """Lexicon-attested verb readings that can host enclitics."""
+    host_codes = _enclitic_host_codes()
     for variant in _accent_variants(stem):
         cls = lexicon.lookup(variant)
         if cls is None:
             continue
-        hosts = frozenset(
-            t for t in cls.tags
-            if decompose(t).category == "verb"
-            and decompose(t).mood in _ENCLITIC_HOST_MOODS
-        )
+        hosts = frozenset(t for t in cls.tags if t.code in host_codes)
         if hosts:
             return variant, hosts
     return None

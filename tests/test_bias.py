@@ -197,10 +197,18 @@ def random_rule_lines(rng, codes, n_rules):
     return lines
 
 
+def code_patterns(code):
+    """Patterns that match `code`: itself, ``?`` at each position, and
+    each prefix plus ``*``."""
+    return {code} | {code[:i] + "?" + code[i + 1:] for i in range(len(code))} | {
+        code[:i] + "*" for i in range(len(code) + 1)}
+
+
 def test_pattern_matching_equals_naive_full_registry():
     codes = load_registry().codes()
     rng = random.Random(11)
     patterns = {random_pattern(rng, codes) for _ in range(200)}
+    patterns |= {p for code in codes for p in code_patterns(code)}
     patterns |= {"*"} | {"?" * n for n in range(1, max(map(len, codes)) + 2)}
     patterns |= set('!"(),-.:;') | {c + "*" for c in '!"(),-.:;'}
     patterns |= {"...", "..*", "?.", "???*"}
@@ -296,16 +304,60 @@ def test_validate_sequence_equals_per_pair_search():
 
 def test_rules_add_no_import_cost():
     """Importing the package and parsing an empty rules file never loads
-    the registry."""
+    the registry, nor even reads the table's columns."""
     script = (
         "import spantag, spantag.cli\n"
         "from spantag.bias import parse_rules\n"
-        "from spantag.tagset import load_registry\n"
+        "from spantag.tagset import load_registry, table_columns\n"
         "parse_rules('')\n"
-        "print(load_registry.cache_info().currsize)\n"
+        "print(load_registry.cache_info().currsize, table_columns.cache_info().currsize)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1])},
     )
-    assert run.stdout == "0\n"
+    assert run.stdout == "0 0\n"
+
+
+# Runs `spantag ARGS` in-process, then reports whether the registry was built.
+CLI_THEN_REGISTRY = """\
+import sys
+from spantag.cli import main
+from spantag.tagset import load_registry
+code = main(sys.argv[1:])
+print(code, load_registry.cache_info().currsize, file=sys.stderr)
+"""
+
+
+def test_tag_validate_and_train_build_no_registry(tmp_path):
+    """Tagging, training and validating read only the table's columns;
+    only the feature commands, such as `tagset`, build the registry."""
+    files = {
+        "gold.vrt": "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nvender\tVLINF\nlo\tPPO3XS\n.\t.\n\n",
+        "lexicon.tsv": "vender\tVLINF\n",
+        "rules.txt": "FORBID ARTDFS NCMP\nREQUIRE PPOSPS NC*\nFORBID ?? .*\n",
+        "abbrev.txt": "núm.\n",
+        "multiwords.txt": "sin embargo\n",
+        "input.txt": "La mesa, sin embargo, núm. 3 . Voy a venderlo .\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    commands = {
+        "train": (["train", "--corpus", "gold.vrt", "--model", "toy.model"], 0),
+        "tag": (["tag", "input.txt", "--model", "toy.model", "--lexicon", "lexicon.tsv",
+                 "--rules", "rules.txt", "--abbrev", "abbrev.txt",
+                 "--multiwords", "multiwords.txt", "-o", "tagged.vrt"], 0),
+        "validate": (["validate", "tagged.vrt", "--rules", "rules.txt"], 0),
+        "tagset": (["tagset", "--category", "verb"], 1),
+    }
+    for name, (args, built) in commands.items():
+        run = subprocess.run(
+            [sys.executable, "-c", CLI_THEN_REGISTRY, *args], cwd=tmp_path,
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(spantag.__file__).parents[1])},
+        )
+        assert run.stderr.splitlines()[-1] == f"0 {built}", (name, run.stderr)
+    # the multiword, the abbreviation and the enclitic split all took effect
+    tagged = (tmp_path / "tagged.vrt").read_text(encoding="utf-8")
+    surfaces = {line.split("\t")[0] for line in tagged.splitlines()}
+    assert {"sin embargo", "núm.", "vender", "lo"} <= surfaces

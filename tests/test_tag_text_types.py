@@ -24,9 +24,11 @@ import synth  # noqa: E402
 
 def reference_prepare(sentence_tokens, model, lexicon, enclitic_split=True):
     """Split and candidate resolution of every token on its own."""
-    first_wordish = next((t for t in sentence_tokens if t.kind != tok.KIND_PUNCTUATION), None)
+    first_wordish = next(
+        (i for i, t in enumerate(sentence_tokens) if t.kind != tok.KIND_PUNCTUATION), None
+    )
     prepared = []
-    for token in sentence_tokens:
+    for i, token in enumerate(sentence_tokens):
         parts = [token]
         decision = tok.split_portmanteau(token)
         if decision is not None:
@@ -36,7 +38,7 @@ def reference_prepare(sentence_tokens, model, lexicon, enclitic_split=True):
             if decision is not None:
                 parts = tok.expand_token(token, decision, tok.KIND_ENCLITIC_PART)
         prepared += [
-            (part, candidates(model, lexicon, part, sentence_initial=token is first_wordish))
+            (part, candidates(model, lexicon, part, sentence_initial=i == first_wordish))
             for part in parts
         ]
     return prepared
@@ -118,6 +120,20 @@ def test_capitalized_unknown_word_initial_and_inside(model):
     # only the sentence-initial guess lacks the proper-noun readings
     assert [tag.code for s in got for t, tag in s.pairs if t.surface == "Zorvan"] == \
            ["NCFS", "NPAXX", "NPAXX"]
+
+
+def test_repeated_token_object_is_initial_only_first(model):
+    """One Token object at both ends of a sentence: only the first
+    occurrence is sentence initial, so only the last one gets the
+    proper-noun guesses."""
+    t = tok.Token("Pérez", (-1, -1), tok.KIND_WORD)
+    sentence_tokens = [t, tok.Token("vino", (-1, -1), tok.KIND_WORD), t]
+    prep = prepare_sentence(sentence_tokens, model, seed_lexicon())
+    assert prep == reference_prepare(sentence_tokens, model, seed_lexicon())
+    assert [cls.codes() for _t, cls in prep][::2] == [
+        ("ADJGFS", "ADJGMS", "NCFS", "NCMS"),
+        ("ADJGFS", "ADJGMS", "NCFS", "NCMS", "NPAXX", "NPTOS"),
+    ]
 
 
 def test_al_and_capitalized_al(model):

@@ -551,17 +551,19 @@ def test_decoding_cost_linear_at_larger_n(toy_corpus):
     prefixes would not: 8x the length must cost well under 16x."""
     model = train(toy_corpus)
     cands = AmbiguityClass.of("ARTDFS", "NCFS", "ADJGFS")
+    # A base long enough (a few ms) that one slow spell on a busy host
+    # cannot dominate it, and five interleaved repeats of each length.
     sentences = {
         n: [(Token("la", (i, i + 1), KIND_WORD), cands) for i in range(n)]
-        for n in (1000, 8000)
+        for n in (2000, 16000)
     }
     best = {n: float("inf") for n in sentences}
-    for _ in range(3):  # alternate lengths so a slow spell hits both
+    for _ in range(5):  # alternate lengths so a slow spell hits both
         for n, sent in sentences.items():
             t0 = time.perf_counter()
             viterbi_decode(model, None, sent)
             best[n] = min(best[n], time.perf_counter() - t0)
-    ratio = best[8000] / best[1000]
+    ratio = best[16000] / best[2000]
     assert ratio < 16, f"ratio {ratio:.1f}"
 
 

@@ -5,8 +5,8 @@ import string
 
 import pytest
 
-from spantag import tagset
-from spantag.errors import NoSuchTag, UnknownTag
+from spantag import _tagset_data, tagset, tokenizer
+from spantag.errors import NoSuchTag, RegistryError, UnknownTag
 from spantag.tagset import (
     FeatureBundle,
     REGISTRY_SIZE,
@@ -21,6 +21,8 @@ from spantag.tagset import (
     parse_features,
     parse_tag,
 )
+from spantag.lexicon import SEED_CATEGORIES, seed_lexicon
+from spantag.tokenizer import default_abbreviations
 
 
 def test_registry_size_matches_checked_constant():
@@ -33,9 +35,34 @@ def test_load_registry_idempotent():
 
 
 def test_code_set_is_the_registry_codes():
-    """`Tag` validates against a set read from the table apart from the
-    registry build; both must see the same codes."""
-    assert tagset._code_set() == frozenset(load_registry().codes())
+    """Tagging reads the table's columns without building the registry;
+    the columns, and what is derived from them, must agree with it."""
+    registry = load_registry()
+    columns = tagset.table_columns()
+    assert tagset._code_set() == frozenset(registry.codes())
+    assert columns.codes == registry.codes()
+    assert columns.index == {code: registry.index(code) for code in registry.codes()}
+    assert columns.category == tuple(e.features.category for e in registry)
+    assert columns.mood == tuple(e.features.mood for e in registry)
+    assert columns.examples == tuple(e.examples for e in registry)
+
+    seed = {}
+    for entry in registry:
+        if entry.features.category in SEED_CATEGORIES:
+            for form in entry.examples:
+                seed.setdefault(form, set()).add(entry.tag)
+    assert {form: set(cls.tags) for form, cls in seed_lexicon().items()} == seed
+    assert [form for form, _cls in seed_lexicon().items()] == list(seed)  # same order
+    assert default_abbreviations() == {
+        form for entry in registry
+        if entry.features.category in ("title-noun", "unit-of-measure")
+        for form in entry.examples if form.endswith(".")
+    }
+    assert tokenizer._enclitic_host_codes() == {
+        e.tag.code for e in registry
+        if decompose(e.tag).category == "verb"
+        and decompose(e.tag).mood in {"imperative", "infinitive", "gerund"}
+    }
 
 
 SPOT_TAGS = [
@@ -380,3 +407,50 @@ def test_registry_rejects_duplicate_codes():
     entry = registry.entries[0]
     with pytest.raises(Exception):
         Registry((entry, entry))
+
+
+@pytest.fixture
+def fresh_table_reads():
+    """Table reads made afresh in the test, and again after it."""
+    reads = (tagset.table_columns, tagset._code_set, load_registry)
+    for read in reads:
+        read.cache_clear()
+    yield
+    for read in reads:
+        read.cache_clear()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("header", "embedded table header does not match the column layout"),
+    ("width", "table row 6: expected 22 columns"),
+    ("duplicate", "duplicate tag codes in embedded table"),
+    ("size", "embedded table has 491 entries, expected 492"),
+    ("value", "table row 21: bad category value 'adjectiv'"),
+    ("bundle", "two tags share a feature bundle"),
+])
+def test_table_faults_are_refused(monkeypatch, fresh_table_reads, fault, message):
+    """The column read refuses a bad layout, the registry build also a
+    bad value or a shared bundle; both with the same messages as ever."""
+    lines = _tagset_data.TABLE.split("\n")
+    if fault == "header":
+        lines[0] = lines[0].replace("MOOD", "MODE")
+    elif fault == "width":
+        lines[5] += "\tx"
+    elif fault == "duplicate":
+        lines[6] = lines[5]
+    elif fault == "size":
+        del lines[7]
+    elif fault == "value":
+        lines[20] = lines[20].replace("adjective", "adjectiv", 1)
+    else:  # row 18 takes row 17's features under its own code
+        lines[17] = lines[17].split("\t", 1)[0] + "\t" + lines[16].split("\t", 1)[1]
+    monkeypatch.setattr(_tagset_data, "TABLE", "\n".join(lines))
+    readers = [load_registry]
+    if fault in ("value", "bundle"):
+        tagset.table_columns()  # the column read checks no value
+    else:
+        readers.insert(0, tagset.table_columns)
+    for read in readers:
+        with pytest.raises(RegistryError) as err:
+            read()
+        assert str(err.value) == message
