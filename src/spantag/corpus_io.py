@@ -9,7 +9,9 @@ lenient reading records them and substitutes the unclassified tag.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file, split_lines
@@ -127,6 +129,10 @@ class EvalReport:
     unknown_accuracy: float | None = None
 
 
+def _pairs(doc: VerticalDocument) -> Iterator[tuple[Token, Tag]]:
+    return (pair for sentence in doc.sentences for pair in sentence.pairs)
+
+
 def evaluate(
     gold: VerticalDocument,
     pred: VerticalDocument,
@@ -135,31 +141,26 @@ def evaluate(
     """Token-level exact-match accuracy of pred against gold.
 
     Token streams must be identical; unknown-token accuracy is computed
-    over tokens absent from `lexicon` when one is supplied.
+    over tokens absent from `lexicon` when one is supplied.  Both
+    documents are walked once, side by side, without copying them.
     """
-    gold_stream = [(t.surface, tag.code) for s in gold.sentences for t, tag in s.pairs]
-    pred_stream = [(t.surface, tag.code) for s in pred.sentences for t, tag in s.pairs]
-    for i, ((gs, _gt), (ps, _pt)) in enumerate(zip(gold_stream, pred_stream)):
-        if gs != ps:
-            raise AlignmentError(i, f"{gs!r} vs {ps!r}")
-    if len(gold_stream) != len(pred_stream):
-        raise AlignmentError(
-            min(len(gold_stream), len(pred_stream)), "token streams have different lengths"
-        )
-
     confusion: dict[tuple[str, str], int] = {}
-    correct = 0
-    unknown_count = 0
-    unknown_correct = 0
-    for (surface, gold_code), (_s, pred_code) in zip(gold_stream, pred_stream):
-        key = (gold_code, pred_code)
+    total = correct = unknown_count = unknown_correct = 0
+    for gold_pair, pred_pair in zip_longest(_pairs(gold), _pairs(pred)):
+        if gold_pair is None or pred_pair is None:
+            raise AlignmentError(total, "token streams have different lengths")
+        (gold_token, gold_tag), (pred_token, pred_tag) = gold_pair, pred_pair
+        surface = gold_token.surface
+        if surface != pred_token.surface:
+            raise AlignmentError(total, f"{surface!r} vs {pred_token.surface!r}")
+        key = (gold_tag.code, pred_tag.code)
         confusion[key] = confusion.get(key, 0) + 1
-        hit = gold_code == pred_code
+        hit = key[0] == key[1]
         correct += hit
         if lexicon is not None and lexicon.lookup(surface) is None:
             unknown_count += 1
             unknown_correct += hit
-    total = len(gold_stream)
+        total += 1
     return EvalReport(
         token_count=total,
         correct=correct,

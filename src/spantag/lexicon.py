@@ -79,6 +79,8 @@ class Lexicon:
     def __init__(self, entries: dict[str, AmbiguityClass], source: str = ""):
         self._entries = dict(entries)
         self.source = source
+        # `lookup` finds no string longer than this: `str.lower` never shortens one
+        self.longest = max(map(len, self._entries), default=0)
 
     @property
     def entry_count(self) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     split_lines,
 )
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
-from .tagset import Tag, _code_set, parse_tag, table_columns
+from .tagset import Tag, parse_tag, table_columns
 from . import tokenizer as tok
 
 START = "<s>"
@@ -115,7 +115,7 @@ class HmmModel:
             raise ModelFormatError(
                 f"kt {kt!r} is too small: a tag prior is zero or subnormal"
             )
-        code_set = _code_set()
+        code_set = table_columns().index.keys()
         self._store_rows(
             _sparse_rows("transition", transitions, code_set | {START}, code_set | {END},
                          f"the registry plus {END}"),
@@ -224,7 +224,7 @@ def train(
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
 
-    codes = _code_set()
+    codes = table_columns().index
     trans_counts: dict[tuple[str, str], int] = {}
     emit_counts: dict[tuple[str, str], int] = {}
     tag_counts: dict[str, int] = {}
@@ -439,9 +439,10 @@ def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, 
     """Scan a model file's sections: yield ``(line_no, section, cells)`` for
     each TRANSITIONS / EMISSIONS row and store each META row in `meta` as
     key -> (value, line number).  Blank lines are skipped; data before the
-    first section header, rows of the wrong width and rows whose context
-    or outcome no model can hold are rejected."""
-    codes = _code_set()
+    first section header, rows of the wrong width, a second META row for
+    one key and rows whose context or outcome no model can hold are
+    rejected."""
+    codes = table_columns().index.keys()
     contexts, outcomes = codes | {START}, codes | {END}
     section = None
     for line_no, raw in enumerate(lines, start=first_line_no):
@@ -456,6 +457,8 @@ def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, 
         if section == "META":
             if len(cells) != 2:
                 raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
+            if cells[0] in meta:
+                raise ModelFormatError(f"second META row for {cells[0]!r}", line_no)
             meta[cells[0]] = (cells[1], line_no)
             continue
         if len(cells) != 3:
@@ -616,7 +619,7 @@ _PUNCT_TAG_FALLBACKS = {
 
 def punctuation_tag(surface: str) -> str:
     """Registry tag code for a punctuation surface (PNC when unmapped)."""
-    if surface in _code_set():
+    if surface in table_columns().index:
         return surface
     return _PUNCT_TAG_FALLBACKS.get(surface, "PNC")
 
@@ -747,9 +750,9 @@ def _prepare(
 ) -> list[tuple[tok.Token, AmbiguityClass]]:
     """`prepare_sentence`, remembering in `types` what each tokenizer token
     (one without candidates) resolved to, keyed by (surface, kind,
-    sentence initial): the split decision or None, the parts' kind and
-    the candidate classes.  The parts themselves are built per token,
-    since their spans differ."""
+    sentence initial): the split decision or None, and the candidate
+    classes.  The parts themselves are built per token, since their spans
+    differ."""
     # By position, not identity: one Token object may occur twice.
     first_wordish = next(
         (i for i, t in enumerate(sentence_tokens) if t.kind != tok.KIND_PUNCTUATION), None
@@ -763,27 +766,26 @@ def _prepare(
             resolved = _resolve(token, model, lexicon, enclitic_split, initial)
             if token.candidates is None:
                 types[key] = resolved
-        decision, kind, classes = resolved
-        parts = [token] if decision is None else tok.expand_token(token, decision, kind)
+        decision, classes = resolved
+        parts = [token] if decision is None else tok.expand_token(token, decision)
         prepared.extend(zip(parts, classes))
     return prepared
 
 
 def _resolve(
     token: tok.Token, model: HmmModel, lexicon: Lexicon, enclitic_split: bool, initial: bool
-) -> tuple[tok.SplitDecision | None, str | None, tuple[AmbiguityClass, ...]]:
-    """(split decision or None, the parts' kind, candidate class per part)."""
-    decision = kind = None
+) -> tuple[tok.SplitDecision | None, tuple[AmbiguityClass, ...]]:
+    """(split decision or None, candidate class per part); the decision
+    carries the parts' kind."""
+    decision = None
     if token.kind == tok.KIND_WORD:
         decision = tok.split_portmanteau(token)
-        kind = tok.KIND_PORTMANTEAU_PART
         if decision is None and enclitic_split:
             decision = tok.split_enclitics(token, lexicon)
-            kind = tok.KIND_ENCLITIC_PART
     if decision is None:
-        return None, None, (candidates(model, lexicon, token, sentence_initial=initial),)
+        return None, (candidates(model, lexicon, token, sentence_initial=initial),)
     # split parts carry their candidates (see `candidates`)
-    return decision, kind, tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
+    return decision, tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
 
 
 def tag_text(

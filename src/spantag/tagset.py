@@ -64,14 +64,15 @@ POSSESSIVE_POSITIONS = frozenset({"prenominal", "full-form", "none"})
 class Tag:
     """A validated tag code from the closed registry.
 
-    Construction checks membership, so holding a Tag guarantees registry
-    validity.  Comparison is exact and case sensitive.
+    Construction checks membership in `table_columns().index`, so holding
+    a Tag guarantees registry validity and making one never builds the
+    registry.  Comparison is exact and case sensitive.
     """
 
     code: str
 
     def __post_init__(self):
-        if self.code not in _code_set():
+        if self.code not in table_columns().index:
             raise UnknownTag(self.code)
 
     def __str__(self) -> str:
@@ -242,15 +243,6 @@ def table_columns() -> TableColumns:
     return TableColumns(tuple(codes), index, tuple(category), tuple(mood), tuple(examples))
 
 
-@lru_cache(maxsize=1)
-def _code_set() -> frozenset[str]:
-    """The registry's codes, from `table_columns`.  `Tag` checks
-    membership here, so making a tag never builds the registry, and work
-    that needs no features, such as tagging, training and validating,
-    never pays for `load_registry`."""
-    return frozenset(table_columns().codes)
-
-
 def _parse_row(line_no: int, cells: list[str], examples: tuple[str, ...]) -> RegistryEntry:
     row = dict(zip(_COLUMNS, cells))
     try:
@@ -277,7 +269,6 @@ class Registry:
         self.entries = entries
         self._by_code = {e.tag.code: e for e in entries}
         self._by_bundle = {e.features: e for e in entries}
-        self._order = {e.tag.code: i for i, e in enumerate(entries)}
         if len(self._by_code) != len(entries):
             raise RegistryError("duplicate tag codes in embedded table")
         if len(self._by_bundle) != len(entries):
@@ -300,15 +291,16 @@ class Registry:
             raise UnknownTag(code) from None
 
     def index(self, tag: Tag | str) -> int:
-        """Position of the tag in registry order (used for tie-breaking)."""
+        """Position of the tag in registry order, which is table order
+        (used for tie-breaking)."""
         code = tag.code if isinstance(tag, Tag) else tag
         try:
-            return self._order[code]
+            return table_columns().index[code]
         except KeyError:
             raise UnknownTag(code) from None
 
     def codes(self) -> tuple[str, ...]:
-        return tuple(e.tag.code for e in self.entries)
+        return tuple(self._by_code)
 
 
 @lru_cache(maxsize=1)

@@ -33,9 +33,6 @@ KIND_ENCLITIC_PART = "enclitic-part"
 
 SENTENCE_TERMINATORS = frozenset({".", "?", "!", "...", "…"})
 
-CONFIDENCE_CERTAIN = "certain"
-CONFIDENCE_HEURISTIC = "heuristic"
-
 
 @dataclass(frozen=True)
 class Token:
@@ -57,11 +54,13 @@ class Token:
 
 @dataclass(frozen=True)
 class SplitDecision:
-    """Outcome of splitting (or keeping whole) one orthographic word."""
+    """Outcome of splitting (or keeping whole) one orthographic word:
+    each part's surface and tags, and the kind its tokens take
+    (`KIND_PORTMANTEAU_PART` or `KIND_ENCLITIC_PART`, after the splitter
+    that decided)."""
 
     parts: tuple[tuple[str, frozenset[Tag]], ...]
-    confidence: str
-    source: str
+    kind: str
 
 
 _TOKEN_RE = re.compile(
@@ -319,11 +318,7 @@ def split_portmanteau(token: Token) -> SplitDecision | None:
     if codes is None:
         return None
     tags = frozenset(parse_tag(c) for c in codes)
-    return SplitDecision(
-        parts=((token.surface, tags),),
-        confidence=CONFIDENCE_CERTAIN,
-        source=token.surface,
-    )
+    return SplitDecision(parts=((token.surface, tags),), kind=KIND_PORTMANTEAU_PART)
 
 
 def _accent_variants(stem: str) -> list[str]:
@@ -337,7 +332,11 @@ def _accent_variants(stem: str) -> list[str]:
 
 
 def _host_tags(stem: str, lexicon: Lexicon) -> tuple[str, frozenset[Tag]] | None:
-    """Lexicon-attested verb readings that can host enclitics."""
+    """Lexicon-attested verb readings that can host enclitics.  A stem
+    longer than any wordform is never looked up, so a long word costs no
+    accent variants."""
+    if len(stem) > lexicon.longest:
+        return None
     host_codes = _enclitic_host_codes()
     for variant in _accent_variants(stem):
         cls = lexicon.lookup(variant)
@@ -379,11 +378,7 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
             (clitic, frozenset({parse_tag(CLITIC_TAGS[clitic])}))
             for clitic in clitics
         )
-        return SplitDecision(
-            parts=tuple(parts),
-            confidence=CONFIDENCE_HEURISTIC,
-            source=surface,
-        )
+        return SplitDecision(parts=tuple(parts), kind=KIND_ENCLITIC_PART)
 
     # Only groups that the lowered surface ends with are attempted, in the
     # fixed order: every (first, last) pair, then every single clitic.
@@ -402,9 +397,10 @@ def split_enclitics(token: Token, lexicon: Lexicon) -> SplitDecision | None:
     return None
 
 
-def expand_token(token: Token, decision: SplitDecision, kind: str) -> list[Token]:
-    """Materialize a split decision as tokens sharing the parent span."""
+def expand_token(token: Token, decision: SplitDecision) -> list[Token]:
+    """Materialize a split decision as tokens of the decision's kind that
+    share the parent span and have origin (parent surface, part index)."""
     return [
-        Token(surface, token.span, kind, (decision.source, index), tags)
+        Token(surface, token.span, decision.kind, (token.surface, index), tags)
         for index, (surface, tags) in enumerate(decision.parts)
     ]

@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,12 +113,13 @@ def test_hash_token_roundtrips():
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_identity():
-    doc = parse_vertical(TWO_SENTENCES)
-    report = evaluate(doc, parse_vertical(TWO_SENTENCES))
-    assert report.accuracy == 1.0
-    assert report.token_count == 6
-    assert report.correct == 6
-    assert sum(report.confusion.values()) == report.token_count
+    for text, tokens in [(TWO_SENTENCES, 6), ("", 0)]:
+        doc = parse_vertical(text)
+        report = evaluate(doc, parse_vertical(text))
+        assert report.accuracy == 1.0
+        assert report.token_count == tokens
+        assert report.correct == tokens
+        assert sum(report.confusion.values()) == report.token_count
 
 
 def make_ten_token_pair():
@@ -137,20 +139,59 @@ def test_evaluate_one_of_ten():
     assert report.confusion[("NCFS", "NCFS")] == 9
 
 
+def vertical(surfaces, breaks=()):
+    """One NCFS token per surface, with a sentence break after each
+    position in `breaks`."""
+    return parse_vertical("".join(
+        f"{s}\tNCFS\n" + ("\n" if i in breaks else "") for i, s in enumerate(surfaces)
+    ))
+
+
 def test_evaluate_alignment_error_position():
-    gold = parse_vertical("a\tNCFS\nb\tNCFS\nc\tNCFS\nd\tNCFS\n")
-    pred = parse_vertical("a\tNCFS\nb\tNCFS\nc\tNCFS\nX\tNCFS\n")
-    with pytest.raises(AlignmentError) as err:
-        evaluate(gold, pred)
-    assert err.value.position == 3
+    for gold, pred, position, detail in [
+        ("abcd", "abcX", 3, "'d' vs 'X'"),
+        # mid-stream, in another sentence, and before the lengths differ
+        ("abcdef", "abXdefgh", 2, "'c' vs 'X'"),
+    ]:
+        with pytest.raises(AlignmentError) as err:
+            evaluate(vertical(gold, breaks={1}), vertical(pred, breaks={0, 4}))
+        assert err.value.position == position
+        assert str(err.value) == f"token streams diverge at position {position}: {detail}"
 
 
 def test_evaluate_length_mismatch():
-    gold = parse_vertical("a\tNCFS\nb\tNCFS\n")
-    pred = parse_vertical("a\tNCFS\n")
-    with pytest.raises(AlignmentError) as err:
-        evaluate(gold, pred)
-    assert err.value.position == 1
+    for gold, pred in [("ab", "a"), ("a", "ab"), ("abc", ""), ("", "abc")]:
+        with pytest.raises(AlignmentError) as err:
+            evaluate(vertical(gold, breaks={0}), vertical(pred))
+        position = min(len(gold), len(pred))
+        assert err.value.position == position
+        assert str(err.value) == (
+            f"token streams diverge at position {position}: token streams have different lengths"
+        )
+
+
+def test_evaluate_holds_no_token_stream():
+    """The documents are walked side by side: on about 29k tokens the
+    peak stays far below what whole-corpus (surface, code) lists of both
+    cost (about 3.7 MB), and the report is the one they give."""
+    text = synth.generate("news-stream", 1).files["gold.vrt"] * 4
+    gold, pred = parse_vertical(text), parse_vertical(text.replace("\tNCFS\n", "\tNCMS\n"))
+    lex = parse_lexicon("la\tARTDFS\n")
+    evaluate(gold, pred, lex)  # warm the lexicon's lookups
+    tracemalloc.start()
+    try:
+        report = evaluate(gold, pred, lex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+    rows = [(token.surface, g.code, p.code) for s, t in zip(gold.sentences, pred.sentences)
+            for (token, g), (_token, p) in zip(s.pairs, t.pairs)]
+    unknown = [g == p for surface, g, p in rows if lex.lookup(surface) is None]
+    assert report.token_count == len(rows) == gold.token_count()
+    assert report.confusion == dict(Counter((g, p) for _surface, g, p in rows))
+    assert report.correct == sum(g == p for _surface, g, p in rows) < len(rows)
+    assert (report.unknown_count, report.unknown_correct) == (len(unknown), sum(unknown))
 
 
 def test_confusion_transposes_when_swapped():

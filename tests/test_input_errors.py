@@ -32,17 +32,18 @@ def toy_model():
 
 
 def edited_model(writer, edit):
-    """A model file with its first ``<s>`` row edited, and the number of
-    the line at fault."""
+    """A model file with its first ``<s>`` row edited, or its ``kt`` row
+    given a second value, and the number of the line at fault."""
     lines = writer(toy_model()).split("\n")
-    i = next(i for i, line in enumerate(lines) if line.startswith("<s>\t"))
+    first = "kt\t" if edit == "meta" else "<s>\t"
+    i = next(i for i, line in enumerate(lines) if line.startswith(first))
     row = lines[i]
     if edit == "context":
         lines[i] = "BOGUS" + row[len("<s>"):]
     elif edit == "count":
         lines[i] = row.rsplit("\t", 1)[0] + "\tx"
-    else:  # the same pair twice
-        lines.insert(i + 1, row)
+    else:  # the same pair twice, or the same META key
+        lines.insert(i + 1, "kt\t0.9" if edit == "meta" else row)
         i += 1
     return "\n".join(lines), i + 1
 
@@ -81,6 +82,10 @@ CASES = {
                        "transition context 'BOGUS' is neither <s> nor a registry tag"),
     "counts-repeated-row": ("model", *edited_model(model_to_counts_text, "repeat"),
                             ModelFormatError, "second TRANSITIONS row for '<s>' "),
+    "v1-repeated-meta": ("model", *edited_model(model_to_text, "meta"), ModelFormatError,
+                         "second META row for 'kt'"),
+    "counts-repeated-meta": ("model", *edited_model(model_to_counts_text, "meta"),
+                             ModelFormatError, "second META row for 'kt'"),
     "abbreviations": ("abbreviations", "# mine\nSra.\netc\n", 3, TaggingError,
                       "abbreviation 'etc' is not one word followed by '.'"),
     "multiwords": ("multiwords", "# mine\nsin embargo\n\nembargo\n", 4, TaggingError,

@@ -32,11 +32,11 @@ def reference_prepare(sentence_tokens, model, lexicon, enclitic_split=True):
         parts = [token]
         decision = tok.split_portmanteau(token)
         if decision is not None:
-            parts = tok.expand_token(token, decision, tok.KIND_PORTMANTEAU_PART)
+            parts = tok.expand_token(token, decision)
         elif enclitic_split:
             decision = tok.split_enclitics(token, lexicon)
             if decision is not None:
-                parts = tok.expand_token(token, decision, tok.KIND_ENCLITIC_PART)
+                parts = tok.expand_token(token, decision)
         prepared += [
             (part, candidates(model, lexicon, part, sentence_initial=i == first_wordish))
             for part in parts

@@ -39,9 +39,9 @@ def test_code_set_is_the_registry_codes():
     the columns, and what is derived from them, must agree with it."""
     registry = load_registry()
     columns = tagset.table_columns()
-    assert tagset._code_set() == frozenset(registry.codes())
-    assert columns.codes == registry.codes()
-    assert columns.index == {code: registry.index(code) for code in registry.codes()}
+    assert registry.codes() == columns.codes
+    assert tuple(e.tag.code for e in registry) == columns.codes
+    assert columns.index == {code: i for i, code in enumerate(columns.codes)}
     assert columns.category == tuple(e.features.category for e in registry)
     assert columns.mood == tuple(e.features.mood for e in registry)
     assert columns.examples == tuple(e.examples for e in registry)
@@ -412,7 +412,7 @@ def test_registry_rejects_duplicate_codes():
 @pytest.fixture
 def fresh_table_reads():
     """Table reads made afresh in the test, and again after it."""
-    reads = (tagset.table_columns, tagset._code_set, load_registry)
+    reads = (tagset.table_columns, load_registry)
     for read in reads:
         read.cache_clear()
     yield

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,16 +13,19 @@ from spantag.tagset import parse_tag
 from spantag.tokenizer import (
     _CLITICS_ORDERED,
     CLITIC_TAGS,
-    CONFIDENCE_HEURISTIC,
     KIND_ABBREVIATION,
     KIND_CODE,
+    KIND_ENCLITIC_PART,
     KIND_NUMBER,
+    KIND_PORTMANTEAU_PART,
     KIND_PUNCTUATION,
     KIND_WORD,
     SplitDecision,
     Token,
+    _enclitic_host_codes,
     _host_tags,
     default_abbreviations,
+    expand_token,
     load_abbreviations,
     load_multiwords,
     merge_multiwords,
@@ -166,7 +170,7 @@ def test_determinism():
 
 def test_portmanteau_al():
     decision = split_portmanteau(word("al"))
-    assert decision.confidence == "certain"
+    assert decision.kind == KIND_PORTMANTEAU_PART
     assert len(decision.parts) == 1
     surface, tags = decision.parts[0]
     assert surface == "al"
@@ -203,7 +207,7 @@ def verb_lexicon():
 def test_enclitic_dimelo(verb_lexicon):
     decision = split_enclitics(word("dímelo"), verb_lexicon)
     assert decision is not None
-    assert decision.confidence == "heuristic"
+    assert decision.kind == KIND_ENCLITIC_PART
     parts = [(s, sorted(t.code for t in tags)) for s, tags in decision.parts]
     assert parts == [("di", ["VLPM2S"]), ("me", ["PPC1S"]), ("lo", ["PPO3XS"])]
 
@@ -272,6 +276,61 @@ def test_enclitic_at_most_two(verb_lexicon):
     assert split_enclitics(word("dímeselo"), verb_lexicon) is None
 
 
+def test_expand_token_parts_take_the_decisions_kind_and_origin(verb_lexicon):
+    for surface, decision in [("Al", split_portmanteau(word("Al"))),
+                              ("dímelo", split_enclitics(word("dímelo"), verb_lexicon))]:
+        token = Token(surface, (3, 3 + len(surface.encode())), KIND_WORD)
+        parts = expand_token(token, decision)
+        assert [(p.surface, p.candidates) for p in parts] == list(decision.parts)
+        assert {p.kind for p in parts} == {decision.kind}
+        assert [p.origin for p in parts] == [(surface, i) for i in range(len(parts))]
+        assert {p.span for p in parts} == {token.span}
+
+
+def reference_host_tags(stem, lexicon):
+    """Reference: look up the stem as written, then with each one of its
+    written accents removed, however long the stem."""
+    plain = {"á": "a", "é": "e", "í": "i", "ó": "o", "ú": "u",
+             "Á": "A", "É": "E", "Í": "I", "Ó": "O", "Ú": "U"}
+    variants = [stem] + [stem[:i] + plain[c] + stem[i + 1:]
+                         for i, c in enumerate(stem) if c in plain]
+    for variant in variants:
+        cls = lexicon.lookup(variant)
+        hosts = frozenset(t for t in cls.tags if t.code in _enclitic_host_codes()) if cls else None
+        if hosts:
+            return variant, hosts
+    return None
+
+
+def test_host_search_skips_only_stems_longer_than_every_form():
+    """Around the longest form's length, with and without accents, and
+    with an "İ", whose lower() is longer than itself."""
+    lexicon = parse_lexicon("comprando\tVLGER\ncómprando\tVLGER\ni\u0307r\tVLINF\n",
+                            include_seed=False)
+    assert lexicon.longest == len("comprando")
+    stems = ["comprando", "cómprando", "cómpràndo", "COMPRÁNDO", "ír", "İr", "İR", "Ír"]
+    stems += [s + tail for s in stems for tail in ("", "x", "á", "İ")]
+    stems += [s[1:] for s in stems]
+    for stem in stems:
+        assert _host_tags(stem, lexicon) == reference_host_tags(stem, lexicon), stem
+    assert _host_tags("comprando", lexicon) is not None
+    assert _host_tags("comprandox", lexicon) is None
+
+
+def test_enclitic_search_memory_is_linear_in_word_length(verb_lexicon):
+    """A long accented word that ends with a clitic is not copied once per
+    accent: about 64 MB when every accent variant of the stem was built."""
+    token = word("á" * 8000 + "lo")
+    split_enclitics(word("dímelo"), verb_lexicon)  # warm the caches
+    tracemalloc.start()
+    try:
+        assert split_enclitics(token, verb_lexicon) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def exhaustive_split_enclitics(token, lexicon):
     """Reference: the unpruned search, which attempts every one of the
     121 ordered clitic pairs and then the 11 single clitics."""
@@ -296,11 +355,7 @@ def exhaustive_split_enclitics(token, lexicon):
             (clitic, frozenset({parse_tag(CLITIC_TAGS[clitic])}))
             for clitic in clitics
         )
-        return SplitDecision(
-            parts=tuple(parts),
-            confidence=CONFIDENCE_HEURISTIC,
-            source=surface,
-        )
+        return SplitDecision(parts=tuple(parts), kind=KIND_ENCLITIC_PART)
 
     for last in _CLITICS_ORDERED:
         for first in _CLITICS_ORDERED:
@@ -393,11 +448,7 @@ def previous_split_enclitics(token, lexicon):
             (clitic, frozenset({parse_tag(CLITIC_TAGS[clitic])}))
             for clitic in clitics
         )
-        return SplitDecision(
-            parts=tuple(parts),
-            confidence=CONFIDENCE_HEURISTIC,
-            source=surface,
-        )
+        return SplitDecision(parts=tuple(parts), kind=KIND_ENCLITIC_PART)
 
     # Only groups that the lowered surface ends with are attempted, in the
     # fixed order: every (first, last) pair, then every single clitic.
