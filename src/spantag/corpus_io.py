@@ -4,7 +4,8 @@ Vertical files hold one ``token<TAB>TAG`` pair per line with a blank
 line after each sentence.  A ``#FALLBACK`` comment line flags the
 sentence that follows it as decoded without bias constraints; other
 ``#`` lines are ignored.  Strict reading rejects non-registry tags;
-lenient reading records them and substitutes the unclassified tag.
+lenient reading records them and substitutes the unclassified tag,
+recording where each stand-in sits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class VerticalDocument:
     provenance: str = ""
     # (line number, offending tag code) collected in lenient mode
     flagged: tuple[tuple[int, str], ...] = ()
+    # (sentence index, token index) of the stand-in put in for each of them
+    stand_ins: tuple[tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -51,6 +54,7 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
     sentences: list[TaggedSentence] = []
     pairs: list[tuple[Token, Tag]] = []
     flagged: list[tuple[int, str]] = []
+    stand_ins: list[tuple[int, int]] = []
     fallback = False
     # One Token per distinct surface: every vertical token has the same
     # span, so equal surfaces give equal tokens anyway.
@@ -84,6 +88,7 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
             if strict:
                 raise UnknownTag(code, line_no) from None
             flagged.append((line_no, code))
+            stand_ins.append((len(sentences), len(pairs)))
             tag = parse_tag("PNC")
         token = tokens.get(surface)
         if token is None:
@@ -91,7 +96,8 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
         pairs.append((token, tag))
     close_sentence()
     return VerticalDocument(
-        sentences=sentences, provenance=provenance, flagged=tuple(flagged)
+        sentences=sentences, provenance=provenance, flagged=tuple(flagged),
+        stand_ins=tuple(stand_ins),
     )
 
 

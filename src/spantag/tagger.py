@@ -40,6 +40,8 @@ _NORM_TOL = 1e-9
 _MIN_PROB = sys.float_info.min  # smallest normal float
 _COUNT_LIMIT = 2**63  # counts at or above this are rejected, so sums stay floats
 
+Counts = dict[str, dict[str, int]]  # training counts per context: {context: {outcome: n}}
+
 
 @dataclass(frozen=True)
 class TaggedSentence:
@@ -77,32 +79,23 @@ class HmmModel:
     must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
     no add-k denominator may overflow, and no probability or tag prior may
     be zero or subnormal.
-    `transition_counts` and `emission_counts` hold the training counts the
-    rows were smoothed from; they are empty for a model loaded from a v1
-    file or built from rows.
+    `counts`, when given, is the pair of `Counts` the rows were smoothed
+    from, transitions then emissions.  `transition_counts` and
+    `emission_counts` are flat ``(context, outcome) -> n`` copies of them,
+    empty for a model loaded from a v1 file or built from rows.
     """
 
-    def __init__(
-        self,
-        transitions: dict[str, dict[str, float]],
-        emissions: dict[str, dict[str, float]],
-        tag_counts: dict[str, int],
-        vocab: frozenset[str],
-        kt: float,
-        ke: float,
-        corpus_name: str = "",
-        token_count: int = 0,
-        transition_counts: dict[tuple[str, str], int] | None = None,
-        emission_counts: dict[tuple[str, str], int] | None = None,
-    ):
+    def __init__(self, transitions: dict[str, dict[str, float]],
+                 emissions: dict[str, dict[str, float]], tag_counts: dict[str, int],
+                 vocab: frozenset[str], kt: float, ke: float, corpus_name: str = "",
+                 token_count: int = 0, counts: tuple[Counts, Counts] | None = None):
         self.kt = _smoothing_constant("kt", kt)
         self.ke = _smoothing_constant("ke", ke)
         self.tag_counts = dict(tag_counts)
         self.vocab = frozenset(vocab)
         self.corpus_name = corpus_name
         self.token_count = token_count
-        self.transition_counts = transition_counts or {}
-        self.emission_counts = emission_counts or {}
+        self._transition_counts, self._emission_counts = counts or ({}, {})
 
         codes = table_columns().codes
         self._uniform_trans = (1.0 / (len(codes) + 1), {})
@@ -145,6 +138,16 @@ class HmmModel:
     def emissions(self) -> dict[str, dict[str, float]]:
         """Full emission rows over sorted forms then UNKNOWN, built on access."""
         return _full_rows(self._emissions, sorted(self.vocab) + [UNKNOWN])
+
+    @property
+    def transition_counts(self) -> dict[tuple[str, str], int]:
+        """Transition counts as ``(context, outcome) -> n``, built on access."""
+        return _flat_counts(self._transition_counts)
+
+    @property
+    def emission_counts(self) -> dict[tuple[str, str], int]:
+        """Emission counts as ``(tag, form) -> n``, built on access."""
+        return _flat_counts(self._emission_counts)
 
     # ------------------------------------------------------------- scoring
     def transition_logp(self, prev_code: str, next_code: str) -> float:
@@ -209,12 +212,12 @@ def _full_rows(rows: dict, outcomes: list[str]) -> dict[str, dict[str, float]]:
     return {c: {o: seen.get(o, unseen) for o in outcomes} for c, (unseen, seen) in rows.items()}
 
 
-def train(
-    corpus: list[TaggedSentence],
-    kt: float = 0.5,
-    ke: float = 0.1,
-    corpus_name: str = "",
-) -> HmmModel:
+def _flat_counts(rows: Counts) -> dict[tuple[str, str], int]:
+    return {(c, o): n for c, row in rows.items() for o, n in row.items()}
+
+
+def train(corpus: list[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
+          corpus_name: str = "") -> HmmModel:
     """Maximum-likelihood counts with add-k smoothing.
 
     Transition rows cover the full registry plus the end pseudo-tag;
@@ -225,47 +228,38 @@ def train(
         raise EmptyCorpus("training corpus is empty")
 
     codes = table_columns().index
-    trans_counts: dict[tuple[str, str], int] = {}
-    emit_counts: dict[tuple[str, str], int] = {}
-    tag_counts: dict[str, int] = {}
-    token_count = 0
-
-    def bump(d, key):
-        d[key] = d.get(key, 0) + 1
-
+    # each tag's transition row is made with its emission row
+    trans_counts: Counts = {START: {}}
+    emit_counts: Counts = {}
     for s_index, sentence in enumerate(corpus):
-        prev = START
+        prev = trans_counts[START]
         for position, (token, tag) in enumerate(sentence.pairs):
             code = tag.code
-            if code not in codes:
-                raise UnknownTag(code)
-            if token.surface == UNKNOWN:
+            emitted = emit_counts.get(code)
+            if emitted is None:
+                if code not in codes:
+                    raise UnknownTag(code)
+                emitted = emit_counts[code] = {}
+                trans_counts[code] = {}
+            form = token.surface
+            if form == UNKNOWN:
                 raise TaggingError(
                     f"sentence {s_index}, token {position}: the wordform {UNKNOWN!r} "
                     "is reserved for unknown words and cannot be trained"
                 )
-            bump(trans_counts, (prev, code))
-            bump(emit_counts, (code, token.surface))
-            bump(tag_counts, code)
-            token_count += 1
-            prev = code
-        bump(trans_counts, (prev, END))
+            emitted[form] = emitted.get(form, 0) + 1
+            prev[code] = prev.get(code, 0) + 1
+            prev = trans_counts[code]
+        prev[END] = prev.get(END, 0) + 1
 
-    return _smoothed_model(
-        trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count
-    )
+    tag_counts = {code: sum(row.values()) for code, row in emit_counts.items()}
+    return _smoothed_model(trans_counts, emit_counts, tag_counts, kt, ke, corpus_name,
+                           sum(tag_counts.values()))
 
 
-def _smoothed_model(
-    trans_counts: dict[tuple[str, str], int],
-    emit_counts: dict[tuple[str, str], int],
-    tag_counts: dict[str, int],
-    kt: float,
-    ke: float,
-    corpus_name: str,
-    token_count: int,
-) -> HmmModel:
-    """The add-k smoothed model of a set of counts.
+def _smoothed_model(trans_counts: Counts, emit_counts: Counts, tag_counts: dict[str, int],
+                    kt: float, ke: float, corpus_name: str, token_count: int) -> HmmModel:
+    """The add-k smoothed model of a set of counts held per context.
 
     `train` and the counts-file loader both build their model here, so a
     saved and reloaded model is bit-identical to the trained one.  Each
@@ -273,32 +267,31 @@ def _smoothed_model(
     outcomes; ``0 + k`` is exactly ``k``, so every outcome's probability
     is the float ``(n + k) / denom`` for its count.  Every ``n`` is at
     least 1, so the unseen value is the row's smallest and needs no
-    search.  Every transition context other than START and every emission
-    tag must be a key of `tag_counts`.
+    search.  Rows are made for START and the keys of `tag_counts`, in
+    registry order; an emission row's counts must total its tag count.
     """
-    vocab = frozenset(form for _code, form in emit_counts)
+    vocab = frozenset().union(*emit_counts.values())
     # built first, so that its constructor checks kt and ke before they divide
     model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, token_count,
-                     trans_counts, emit_counts)
+                     (trans_counts, emit_counts))
     codes = table_columns().codes
     seen_tags = [c for c in codes if c in tag_counts]
-    context_totals = dict.fromkeys([START] + seen_tags, 0)
-    for (prev, _nxt), n in trans_counts.items():
-        context_totals[prev] += n
-    trans_denoms = {c: _add_k_denominator("kt", kt, total, len(codes) + 1)
-                    for c, total in context_totals.items()}
-    transitions = {c: (kt / d, {}) for c, d in trans_denoms.items()}
-    for (prev, nxt), n in trans_counts.items():
-        transitions[prev][1][nxt] = (n + kt) / trans_denoms[prev]
-
-    emit_denoms = {c: _add_k_denominator("ke", ke, tag_counts[c], len(vocab) + 1)
-                   for c in seen_tags}
-    emissions = {c: (ke / d, {}) for c, d in emit_denoms.items()}
-    for (code, form), n in emit_counts.items():
-        emissions[code][1][form] = (n + ke) / emit_denoms[code]
-
-    model._store_rows(transitions, emissions)
+    model._store_rows(
+        _smoothed_rows("kt", kt, trans_counts, [START] + seen_tags, len(codes) + 1),
+        _smoothed_rows("ke", ke, emit_counts, seen_tags, len(vocab) + 1),
+    )
     return model
+
+
+def _smoothed_rows(name: str, k: float, counts: Counts, contexts: list[str],
+                   n_outcomes: int) -> dict[str, tuple]:
+    """``(unseen, seen)`` add-k rows of `contexts` over `n_outcomes` outcomes."""
+    rows = {}
+    for context in contexts:
+        row = counts.get(context, {})
+        denom = _add_k_denominator(name, k, sum(row.values()), n_outcomes)
+        rows[context] = (k / denom, {o: (n + k) / denom for o, n in row.items()})
+    return rows
 
 
 # ------------------------------------------------------------------ model IO
@@ -357,16 +350,16 @@ def model_to_counts_text(model: HmmModel) -> str:
     which the loader redoes exactly as `train` does.
     """
     order = _registry_order()
-    lines = [COUNTS_MARKER, "TRANSITIONS"]
-    for context, outcome in sorted(
-        model.transition_counts, key=lambda pair: (order[pair[0]], order[pair[1]])
+    lines = [COUNTS_MARKER]
+    for section, rows, outcome_key in (
+        ("TRANSITIONS", model._transition_counts, order.__getitem__),
+        ("EMISSIONS", model._emission_counts, None),
     ):
-        lines.append(f"{context}\t{outcome}\t{model.transition_counts[context, outcome]}")
-    lines.append("EMISSIONS")
-    for code, form in sorted(
-        model.emission_counts, key=lambda pair: (order[pair[0]], pair[1])
-    ):
-        lines.append(f"{code}\t{form}\t{model.emission_counts[code, form]}")
+        lines.append(section)
+        for context in sorted(rows, key=order.__getitem__):
+            row = rows[context]
+            lines += [f"{context}\t{outcome}\t{row[outcome]}"
+                      for outcome in sorted(row, key=outcome_key)]
     lines += _meta_lines(model, order)
     return "\n".join(lines) + "\n"
 
@@ -374,7 +367,7 @@ def model_to_counts_text(model: HmmModel) -> str:
 def save_model(model: HmmModel, path: str | Path):
     """Write a counts file, or v1 probability rows for a model that has
     no counts (one loaded from a v1 file or built from rows)."""
-    text = model_to_counts_text(model) if model.transition_counts else model_to_text(model)
+    text = model_to_counts_text(model) if model._transition_counts else model_to_text(model)
     # encoded before the file is opened, so a failure leaves it untouched
     Path(path).write_bytes(text.encode("utf-8"))
 
@@ -434,147 +427,154 @@ def model_from_text(text: str) -> HmmModel:
     return _model_from_v1(lines)
 
 
-def _data_rows(lines: list[str], first_line_no: int, meta: dict[str, tuple[str, int]],
-               row_format: str):
-    """Scan a model file's sections: yield ``(line_no, section, cells)`` for
-    each TRANSITIONS / EMISSIONS row and store each META row in `meta` as
-    key -> (value, line number).  Blank lines are skipped; data before the
-    first section header, rows of the wrong width, a second META row for
-    one key and rows whose context or outcome no model can hold are
-    rejected."""
+_SECTIONS = ("TRANSITIONS", "EMISSIONS", "META")
+
+
+def _data_rows(lines: list[str], first_line_no: int, row_format: str, read_value):
+    """Scan a model file's sections, numbering `lines` from `first_line_no`:
+    its TRANSITIONS and EMISSIONS rows as ``{context: {outcome: value}}``
+    in file order, its META rows as ``key -> (value, line number)``, and
+    the line of each ``(section, context)``'s first row.  A row's value is
+    ``read_value(section, outcome, cell, line_no)``, read in the same pass,
+    so the first fault in file order is the one reported.  Blank lines are
+    skipped; data before the first section header, rows of the wrong
+    width, a second row for one pair or META key and rows whose context or
+    outcome no model can hold are rejected."""
     codes = table_columns().index.keys()
-    contexts, outcomes = codes | {START}, codes | {END}
-    section = None
+    allowed = {"TRANSITIONS": (codes | {START}, codes | {END}), "EMISSIONS": (codes, None)}
+    tables: dict[str, dict[str, dict]] = {"TRANSITIONS": {}, "EMISSIONS": {}}
+    meta: dict[str, tuple[str, int]] = {}
+    first_lines: dict[tuple[str, str], int] = {}
+    section = rows = contexts = outcomes = None
     for line_no, raw in enumerate(lines, start=first_line_no):
-        if not raw.strip():
-            continue
-        if raw in ("TRANSITIONS", "EMISSIONS", "META"):
-            section = raw
-            continue
-        if section is None:
-            raise ModelFormatError("data before the first section header", line_no)
         cells = raw.split("\t")
-        if section == "META":
+        if rows is None or len(cells) != 3:
+            if not raw.strip():
+                continue
+            if raw in _SECTIONS:
+                section, rows = raw, tables.get(raw)
+                contexts, outcomes = allowed.get(raw, (None, None))
+                continue
+            if section is None:
+                raise ModelFormatError("data before the first section header", line_no)
+            if rows is not None:
+                raise ModelFormatError(row_format, line_no)
             if len(cells) != 2:
                 raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
             if cells[0] in meta:
                 raise ModelFormatError(f"second META row for {cells[0]!r}", line_no)
             meta[cells[0]] = (cells[1], line_no)
             continue
-        if len(cells) != 3:
-            raise ModelFormatError(row_format, line_no)
-        context, outcome, _value = cells
-        if section == "EMISSIONS":
-            if context not in codes:
-                raise ModelFormatError(f"emission tag {context!r} is not a registry tag", line_no)
-        elif context not in contexts:
-            raise ModelFormatError(
-                f"transition context {context!r} is neither {START} nor a registry tag", line_no
-            )
-        elif outcome not in outcomes:
+        context, outcome, cell = cells
+        row = rows.get(context)
+        if row is None:
+            if context not in contexts:
+                if not raw.strip():  # two tabs among blanks
+                    continue
+                raise ModelFormatError(
+                    f"emission tag {context!r} is not a registry tag" if outcomes is None
+                    else f"transition context {context!r} is neither {START} nor a registry tag",
+                    line_no,
+                )
+            row = rows[context] = {}
+            first_lines[section, context] = line_no
+        if outcomes is not None and outcome not in outcomes:
             raise ModelFormatError(
                 f"transition outcome {outcome!r} is neither a registry tag nor {END}", line_no
             )
-        yield line_no, section, cells
+        value = read_value(section, outcome, cell, line_no)
+        if outcome in row:
+            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
+        row[outcome] = value
+    return tables["TRANSITIONS"], tables["EMISSIONS"], meta, first_lines
+
+
+def _probability_cell(_section: str, _outcome: str, cell: str, line_no: int) -> float:
+    """A v1 row's probability, from its log10 cell."""
+    try:
+        prob = 10.0 ** float(cell)
+    except (ValueError, OverflowError):
+        raise ModelFormatError(f"bad log-probability {cell!r}", line_no) from None
+    if not prob > 0.0:
+        raise ModelFormatError(f"log-probability {cell!r} is not above -inf", line_no)
+    return prob
+
+
+def _count_cell(section: str, outcome: str, cell: str, line_no: int) -> int:
+    """A counts row's count; no row may emit UNKNOWN."""
+    try:
+        n = _count(cell, least=1)
+    except ValueError:
+        raise ModelFormatError(f"count {cell!r} is not a positive integer", line_no) from None
+    if outcome == UNKNOWN and section == "EMISSIONS":
+        raise ModelFormatError(f"emission form {UNKNOWN!r} is reserved for unknown words", line_no)
+    return n
 
 
 def _model_from_v1(lines: list[str]) -> HmmModel:
     """Parse v1 probability rows (normalization checked by HmmModel)."""
-    transitions: dict[str, dict[str, float]] = {}
-    emissions: dict[str, dict[str, float]] = {}
-    meta: dict[str, tuple[str, int]] = {}
-    for line_no, section, (context, outcome, logp) in _data_rows(
-        lines, 1, meta, "probability rows must be 'context<TAB>outcome<TAB>log10-prob'"
-    ):
-        try:
-            prob = 10.0 ** float(logp)
-        except (ValueError, OverflowError):
-            raise ModelFormatError(f"bad log-probability {logp!r}", line_no) from None
-        if not prob > 0.0:
-            raise ModelFormatError(f"log-probability {logp!r} is not above -inf", line_no)
-        row = (transitions if section == "TRANSITIONS" else emissions).setdefault(context, {})
-        if outcome in row:
-            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
-        row[outcome] = prob
-
+    transitions, emissions, meta, _first_lines = _data_rows(
+        lines, 1, "probability rows must be 'context<TAB>outcome<TAB>log10-prob'",
+        _probability_cell)
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
-    vocab = frozenset(
-        form for row in emissions.values() for form in row if form != UNKNOWN
-    )
-    return HmmModel(
-        transitions=transitions,
-        emissions=emissions,
-        tag_counts=tag_counts,
-        vocab=vocab,
-        kt=kt,
-        ke=ke,
-        corpus_name=corpus_name,
-        token_count=token_count,
-    )
+    vocab = frozenset().union(*emissions.values()) - {UNKNOWN}
+    return HmmModel(transitions, emissions, tag_counts, vocab, kt, ke, corpus_name, token_count)
 
 
 def _model_from_counts(lines: list[str]) -> HmmModel:
     """Parse a counts file, check that its counts agree with each other,
     and smooth them as `train` does."""
-    trans_counts: dict[tuple[str, str], int] = {}
-    emit_counts: dict[tuple[str, str], int] = {}
-    # (section, context) -> the sum of its counts, and its first line number
-    totals: dict[tuple[str, str], int] = {}
-    first_row: dict[tuple[str, str], int] = {}
-    meta: dict[str, tuple[str, int]] = {}
-    for line_no, section, (context, outcome, count) in _data_rows(
-        lines[1:], 2, meta, "count rows must be 'context<TAB>outcome<TAB>count'"
-    ):
-        try:
-            n = _count(count, least=1)
-        except ValueError:
-            raise ModelFormatError(f"count {count!r} is not a positive integer", line_no) from None
-        if section == "EMISSIONS" and outcome == UNKNOWN:
-            raise ModelFormatError(
-                f"emission form {UNKNOWN!r} is reserved for unknown words", line_no
-            )
-        table = trans_counts if section == "TRANSITIONS" else emit_counts
-        if (context, outcome) in table:
-            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
-        table[context, outcome] = n
-        totals[section, context] = totals.get((section, context), 0) + n
-        first_row.setdefault((section, context), line_no)
-
+    trans_counts, emit_counts, meta, first_lines = _data_rows(
+        lines[1:], 2, "count rows must be 'context<TAB>outcome<TAB>count'", _count_cell)
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
+    outgoing = {context: sum(row.values()) for context, row in trans_counts.items()}
+    emitted = {code: sum(row.values()) for code, row in emit_counts.items()}
+    incoming: dict[str, int] = {}
+    for row in trans_counts.values():
+        for outcome, n in row.items():
+            incoming[outcome] = incoming.get(outcome, 0) + n
 
-    for code in table_columns().codes:
-        emitted = totals.get(("EMISSIONS", code), 0)
-        outgoing = totals.get(("TRANSITIONS", code), 0)
-        if emitted and code not in tag_counts:
+    codes = table_columns().codes
+    for code in codes:
+        n_emitted, n_outgoing = emitted.get(code, 0), outgoing.get(code, 0)
+        if n_emitted and code not in tag_counts:
+            raise ModelFormatError(f"tag {code!r} emits but META has no count.{code}",
+                                   first_lines["EMISSIONS", code])
+        if n_emitted != tag_counts.get(code, 0):
             raise ModelFormatError(
-                f"tag {code!r} emits but META has no count.{code}",
-                first_row["EMISSIONS", code],
-            )
-        if emitted != tag_counts.get(code, 0):
+                f"count.{code} is {tag_counts[code]} but its emissions total {n_emitted}",
+                meta[f"count.{code}"][1])
+        if n_outgoing != n_emitted:
             raise ModelFormatError(
-                f"count.{code} is {tag_counts[code]} but its emissions total {emitted}",
-                meta[f"count.{code}"][1],
+                f"tag {code!r} has {n_outgoing} outgoing transitions but {n_emitted} emissions",
+                first_lines.get(("TRANSITIONS", code), first_lines.get(("EMISSIONS", code))),
             )
-        if outgoing != emitted:
-            raise ModelFormatError(
-                f"tag {code!r} has {outgoing} outgoing transitions but {emitted} emissions",
-                first_row.get(("TRANSITIONS", code), first_row.get(("EMISSIONS", code))),
-            )
-    sentences = sum(n for (_context, outcome), n in trans_counts.items() if outcome == END)
-    started = totals.get(("TRANSITIONS", START), 0)
+    started, sentences = outgoing.get(START, 0), incoming.get(END, 0)
     if started != sentences:
-        raise ModelFormatError(
-            f"{START} has {started} transitions but {sentences} lead to {END}",
-            first_row.get(("TRANSITIONS", START)),
-        )
+        raise ModelFormatError(f"{START} has {started} transitions but {sentences} lead to {END}",
+                               first_lines.get(("TRANSITIONS", START)))
+    for code in codes:
+        n_incoming, n_emitted = incoming.get(code, 0), emitted.get(code, 0)
+        if n_incoming != n_emitted:
+            raise ModelFormatError(
+                f"tag {code!r} has {n_incoming} incoming transitions but {n_emitted} emissions",
+                _first_transition_into(lines, code) or first_lines.get(("EMISSIONS", code)),
+            )
     if token_count != sum(tag_counts.values()):
         raise ModelFormatError(
             f"tokens is {token_count} but the tag counts total {sum(tag_counts.values())}",
             meta.get("tokens", (None, None))[1],
         )
-    return _smoothed_model(
-        trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count
-    )
+    return _smoothed_model(trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count)
+
+
+def _first_transition_into(lines: list[str], code: str) -> int | None:
+    """Number of the first TRANSITIONS line whose outcome is `code`, if any."""
+    section = None
+    for line_no, raw in enumerate(lines, start=1):
+        section = raw if raw in _SECTIONS else section
+        if section == "TRANSITIONS" and raw.split("\t")[1:2] == [code]:
+            return line_no
 
 
 def load_model(path: str | Path) -> HmmModel:

@@ -274,6 +274,22 @@ def test_validate_rule_violations(tmp_path, gold_file, capsys):
     assert "violates rule at line 1" in out
 
 
+@pytest.mark.parametrize("second, want", [
+    # the stand-in for NCFZ is not rule-checked: only the unknown tag counts
+    ("NCFZ", "line 2: unknown tag 'NCFZ'\n"),
+    # a genuine PNC still is
+    ("PNC", "sentence 0, token 0: pair 'ARTDFS PNC' violates rule at line 1\n"),
+])
+def test_validate_checks_no_pair_with_a_stand_in(tmp_path, capsys, second, want):
+    path, rules = tmp_path / "in.vrt", tmp_path / "rules.txt"
+    path.write_text(f"la\tARTDFS\ncasa\t{second}\n", encoding="utf-8")
+    rules.write_text("FORBID ARTDFS PNC\n", encoding="utf-8")
+    assert main(["validate", str(path), "--rules", str(rules)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert "1 violation(s)" in captured.err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/nothing.vrt"]) == 2
     assert capsys.readouterr().err.startswith("spantag:")

@@ -241,7 +241,7 @@ def test_format_report_layout():
 
 def reference_parse(text, strict=True):
     """`parse_vertical` with a new Token and a new Tag built for every line."""
-    sentences, pairs, flagged, fallback = [], [], [], False
+    sentences, pairs, flagged, stand_ins, fallback = [], [], [], [], False
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             if pairs:
@@ -256,12 +256,13 @@ def reference_parse(text, strict=True):
             except UnknownTag:
                 assert not strict
                 flagged.append((line_no, code))
+                stand_ins.append((len(sentences), len(pairs)))
                 tag = Tag("PNC")
             kind = KIND_PUNCTUATION if punctuationish(surface) else KIND_WORD
             pairs.append((Token(surface, (-1, -1), kind), tag))
     if pairs:
         sentences.append(TaggedSentence(pairs=tuple(pairs), fallback=fallback))
-    return VerticalDocument(sentences=sentences, flagged=tuple(flagged))
+    return VerticalDocument(sentences=sentences, flagged=tuple(flagged), stand_ins=tuple(stand_ins))
 
 
 def assert_one_object_per_value(doc):

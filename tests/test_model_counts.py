@@ -178,12 +178,18 @@ BAD_LINES = {
     "emission-tag-unknown": (12, "BADTAG\tla\t3", 12),
     "emission-tag-start": (12, "<s>\tla\t3", 12),
     "emission-form-unk": (12, f"ARTDFS\t{UNKNOWN}\t3", 12),
+    # two faults, the reserved form and then a four-cell row: the first in
+    # file order is the one reported
+    "emission-form-unk-then-four-cells": (12, f"ARTDFS\t{UNKNOWN}\t3\nNCFS\tmesa\t2\t1", 12),
     "duplicate-transition": (7, "ARTDFS\tNCFS\t3", 7),
     "duplicate-emission": (13, "NCFS\tmesa\t1", 14),
     "outgoing-not-emitted": (8, "NCFS\tADJGFS\t2", 7),
     "emitted-not-count": (23, "count.NCFS\t4", 23),
     "emitting-tag-without-count": (21, "", 11),
     "starts-not-ends": (3, "<s>\tARTDFS\t4", 3),
+    # "." then has 2 incoming transitions and 3 emissions (NCFS 4 and 3),
+    # and comes first in registry order: reported at "NCFS . 2"
+    "incoming-not-emitted": (5, "ADJGFS\tNCFS\t1", 7),
     "tokens-not-tag-total": (17, "tokens\t11", 17),
     # META numbers are read as count rows are, and `int` or `float` alone
     # would take each of these (``0_5`` as 5)
@@ -212,6 +218,13 @@ def test_counts_loader_rejects_bad_line(toy_corpus, line_no, replacement, error_
     with pytest.raises(ModelFormatError) as err:
         model_from_text("\n".join(lines) + "\n")
     assert err.value.line == error_line
+
+
+def test_counts_loader_reports_the_incoming_mismatch(toy_corpus):
+    lines = toy_counts_lines(toy_corpus)
+    lines[4] = "ADJGFS\tNCFS\t1"
+    with pytest.raises(ModelFormatError, match="tag '.' has 2 incoming transitions but 3 emissions"):
+        model_from_text("\n".join(lines) + "\n")
 
 
 def test_counts_loader_requires_kt(toy_corpus):
@@ -324,7 +337,7 @@ def test_section_scan_rejects_bad_layout(toy_corpus, writer, case):
 @pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
 def test_section_scan_skips_blank_lines(toy_corpus, writer):
     lines = writer(train(toy_corpus, corpus_name="toy")).splitlines()
-    spaced = [lines[0]] + [part for line in lines[1:] for part in ("", " \t", line)]
+    spaced = [lines[0]] + [part for line in lines[1:] for part in ("", " \t", " \t \t ", line)]
     assert_same_model(model_from_text("\n".join(spaced) + "\n"),
                       model_from_text("\n".join(lines) + "\n"))
 
