@@ -113,12 +113,13 @@ def cmd_tag(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = corpus_io.read_vertical(args.path, strict=False)
+    # loaded before anything is written, so a bad rules file leaves stdout empty
+    ruleset = bias.load_rules(args.rules) if args.rules else None
     violations = 0
     for line_no, code in doc.flagged:
         print(f"line {line_no}: unknown tag {code!r}")
         violations += 1
-    if args.rules:
-        ruleset = bias.load_rules(args.rules)
+    if ruleset is not None:
         stand_ins = set(doc.stand_ins)
         for s_index, sentence in enumerate(doc.sentences):
             for position, rule_id in ruleset.validate_sequence(list(sentence.tags)):

@@ -79,23 +79,24 @@ class HmmModel:
     must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
     no add-k denominator may overflow, and no probability or tag prior may
     be zero or subnormal.
-    `counts`, when given, is the pair of `Counts` the rows were smoothed
-    from, transitions then emissions.  `transition_counts` and
-    `emission_counts` are flat ``(context, outcome) -> n`` copies of them,
-    empty for a model loaded from a v1 file or built from rows.
+    A model built from rows, here or from a v1 file, carries no counts:
+    only `train` and the counts-file loader make a counts model (through
+    `_smoothed_model`).  `transition_counts` and `emission_counts` are
+    flat ``(context, outcome) -> n`` copies of a counts model's counts,
+    empty for any other model.
     """
 
     def __init__(self, transitions: dict[str, dict[str, float]],
                  emissions: dict[str, dict[str, float]], tag_counts: dict[str, int],
                  vocab: frozenset[str], kt: float, ke: float, corpus_name: str = "",
-                 token_count: int = 0, counts: tuple[Counts, Counts] | None = None):
+                 token_count: int = 0):
         self.kt = _smoothing_constant("kt", kt)
         self.ke = _smoothing_constant("ke", ke)
         self.tag_counts = dict(tag_counts)
         self.vocab = frozenset(vocab)
         self.corpus_name = corpus_name
         self.token_count = token_count
-        self._transition_counts, self._emission_counts = counts or ({}, {})
+        self._transition_counts, self._emission_counts = {}, {}
 
         codes = table_columns().codes
         self._uniform_trans = (1.0 / (len(codes) + 1), {})
@@ -252,28 +253,30 @@ def train(corpus: list[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
             prev = trans_counts[code]
         prev[END] = prev.get(END, 0) + 1
 
-    tag_counts = {code: sum(row.values()) for code, row in emit_counts.items()}
-    return _smoothed_model(trans_counts, emit_counts, tag_counts, kt, ke, corpus_name,
-                           sum(tag_counts.values()))
+    return _smoothed_model(trans_counts, emit_counts, kt, ke, corpus_name)
 
 
-def _smoothed_model(trans_counts: Counts, emit_counts: Counts, tag_counts: dict[str, int],
-                    kt: float, ke: float, corpus_name: str, token_count: int) -> HmmModel:
+def _smoothed_model(trans_counts: Counts, emit_counts: Counts, kt: float, ke: float,
+                    corpus_name: str) -> HmmModel:
     """The add-k smoothed model of a set of counts held per context.
 
-    `train` and the counts-file loader both build their model here, so a
-    saved and reloaded model is bit-identical to the trained one.  Each
-    row is ``(k / denom, {outcome: (n + k) / denom})`` over its seen
-    outcomes; ``0 + k`` is exactly ``k``, so every outcome's probability
-    is the float ``(n + k) / denom`` for its count.  Every ``n`` is at
-    least 1, so the unseen value is the row's smallest and needs no
-    search.  Rows are made for START and the keys of `tag_counts`, in
-    registry order; an emission row's counts must total its tag count.
+    This is the only code that makes a counts model: `train` and the
+    counts-file loader both build their model here, so a saved and
+    reloaded model is bit-identical to the trained one.  Each tag's count
+    is its emission row's total, the token count is their sum and the
+    vocabulary is the union of the rows' forms, so none can disagree with
+    the rows.  Each row is ``(k / denom, {outcome: (n + k) / denom})``
+    over its seen outcomes; ``0 + k`` is exactly ``k``, so every outcome's
+    probability is the float ``(n + k) / denom`` for its count.  Every
+    ``n`` is at least 1, so the unseen value is the row's smallest and
+    needs no search.  Rows are made for START and each tag that emits, in
+    registry order.
     """
+    tag_counts = {code: sum(row.values()) for code, row in emit_counts.items()}
     vocab = frozenset().union(*emit_counts.values())
     # built first, so that its constructor checks kt and ke before they divide
-    model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, token_count,
-                     (trans_counts, emit_counts))
+    model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, sum(tag_counts.values()))
+    model._transition_counts, model._emission_counts = trans_counts, emit_counts
     codes = table_columns().codes
     seen_tags = [c for c in codes if c in tag_counts]
     model._store_rows(
@@ -522,8 +525,8 @@ def _model_from_v1(lines: list[str]) -> HmmModel:
 
 
 def _model_from_counts(lines: list[str]) -> HmmModel:
-    """Parse a counts file, check that its counts agree with each other,
-    and smooth them as `train` does."""
+    """Parse a counts file, check that its counts agree with each other
+    and that they hold a sentence, and smooth them as `train` does."""
     trans_counts, emit_counts, meta, first_lines = _data_rows(
         lines[1:], 2, "count rows must be 'context<TAB>outcome<TAB>count'", _count_cell)
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
@@ -565,7 +568,15 @@ def _model_from_counts(lines: list[str]) -> HmmModel:
             f"tokens is {token_count} but the tag counts total {sum(tag_counts.values())}",
             meta.get("tokens", (None, None))[1],
         )
-    return _smoothed_model(trans_counts, emit_counts, tag_counts, kt, ke, corpus_name, token_count)
+    # Checked last, so each fault above keeps its message: no corpus gives a
+    # tag a count of 0 or holds no sentence.
+    for code, n in tag_counts.items():
+        if not n:
+            raise ModelFormatError(f"count.{code} is 0: a counts file lists only tags seen "
+                                   "in training", meta[f"count.{code}"][1])
+    if not started:
+        raise ModelFormatError(f"no transition leaves {START}: the counts hold no sentence")
+    return _smoothed_model(trans_counts, emit_counts, kt, ke, corpus_name)
 
 
 def _first_transition_into(lines: list[str], code: str) -> int | None:

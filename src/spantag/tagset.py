@@ -294,10 +294,9 @@ class Registry:
         """Position of the tag in registry order, which is table order
         (used for tie-breaking)."""
         code = tag.code if isinstance(tag, Tag) else tag
-        try:
-            return table_columns().index[code]
-        except KeyError:
-            raise UnknownTag(code) from None
+        if code not in self._by_code:
+            raise UnknownTag(code)
+        return table_columns().index[code]
 
     def codes(self) -> tuple[str, ...]:
         return tuple(self._by_code)

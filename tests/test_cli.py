@@ -535,22 +535,27 @@ def test_entry_tokenizing_never_applies_exits_2(tmp_path, model_file, capsys, co
     assert captured.err.startswith(f"spantag: {listed}: line {body.count(chr(10))}: ")
 
 
-@pytest.mark.parametrize("command", ["tag", "validate"])
+@pytest.mark.parametrize("command", ["tag", "validate", "validate-unknown-tag"])
 @pytest.mark.parametrize("body, line, pattern", [
     pytest.param("# typo\nFORBID ARTDFS NCMPP\n", 2, "NCMPP", id="right"),
     pytest.param("FORBID ARTDZS NCFS\n", 1, "ARTDZS", id="left"),
     pytest.param("FORBID ARTDFS NCM?\nREQUIRE B* NC*\n", 2, "B*", id="require"),
 ])
 def test_rule_pattern_matching_no_tag_exits_2(tmp_path, model_file, capsys, command, body, line, pattern):
+    """Nothing is written before the rules load, even for a vertical file
+    whose unknown tag `validate` would report."""
     src = tmp_path / "in.txt"
     src.write_text("la niño .", encoding="utf-8")
     vertical = tmp_path / "in.vrt"
     vertical.write_text("la\tARTDFS\nniño\tNCMS\n.\t.\n\n", encoding="utf-8")
+    unknown = tmp_path / "unknown.vrt"
+    unknown.write_text("la\tARTDFS\ncasa\tNCFZ\n\n", encoding="utf-8")
     rules = tmp_path / "typo.rules"
     rules.write_text(body, encoding="utf-8")
     argv = {
         "tag": ["tag", str(src), "--model", str(model_file)],
         "validate": ["validate", str(vertical)],
+        "validate-unknown-tag": ["validate", str(unknown)],
     }[command] + ["--rules", str(rules)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -677,6 +682,42 @@ def test_tag_rejects_a_meta_number_spelled_otherwise_exits_2(tmp_path, model_fil
     assert captured.err == (
         f"spantag: {model_file}: line {line_no}: bad META value {bad!r} for {key!r}\n"
     )
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("COUNTS\nTRANSITIONS\nEMISSIONS\nMETA\ntokens\t0\nkt\t0.5\nke\t0.1\n",
+                 "no transition leaves <s>: the counts hold no sentence", id="empty"),
+    pytest.param("COUNTS\nTRANSITIONS\nNCFS\tNCFS\t1\nEMISSIONS\nNCFS\tcasa\t1\n"
+                 "META\ntokens\t1\nkt\t0.5\nke\t0.1\ncount.NCFS\t1\n",
+                 "no transition leaves <s>: the counts hold no sentence", id="self-loop"),
+    pytest.param("COUNTS\nTRANSITIONS\n<s>\tNCFS\t1\nNCFS\t</s>\t1\nEMISSIONS\n"
+                 "NCFS\tcasa\t1\nMETA\ntokens\t1\nkt\t0.5\nke\t0.1\ncount.ADVN\t0\n"
+                 "count.NCFS\t1\n",
+                 "line 11: count.ADVN is 0: a counts file lists only tags seen in training",
+                 id="zero-count"),
+])
+def test_tag_rejects_counts_no_corpus_gives_exits_2(tmp_path, capsys, text, message):
+    src = tmp_path / "in.txt"
+    src.write_text("La casa .", encoding="utf-8")
+    model = tmp_path / "odd.model"
+    model.write_text(text, encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spantag: {model}: {message}\n"
+
+
+def test_seed_lexicon_only_ignores_the_lexicon(news, capsys):
+    argv = ["tag", str(news / "input.txt"), "--model", str(news / "news.model")]
+
+    def tagged(*flags):
+        assert main(argv + list(flags)) == 0
+        return capsys.readouterr().out
+
+    lexicon = str(news / "lexicon.tsv")
+    seed_only = tagged("--lexicon", lexicon, "--seed-lexicon-only")
+    assert seed_only == tagged("--lexicon", "seed")
+    assert seed_only != tagged("--lexicon", lexicon)
 
 
 def test_train_with_a_large_constant_that_fits_exits_0(tmp_path, gold_file, capsys):

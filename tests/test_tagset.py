@@ -409,6 +409,16 @@ def test_registry_rejects_duplicate_codes():
         Registry((entry, entry))
 
 
+def test_partial_registry_answers_only_for_its_own_codes():
+    registry = Registry(load_registry().entries[:1])
+    held = registry.entries[0].tag.code
+    assert registry.index(held) == load_registry().index(held)
+    assert "PDEL" not in registry
+    for ask in (registry.entry, registry.index):
+        with pytest.raises(UnknownTag):
+            ask("PDEL")
+
+
 @pytest.fixture
 def fresh_table_reads():
     """Table reads made afresh in the test, and again after it."""
