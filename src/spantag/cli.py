@@ -116,11 +116,11 @@ def cmd_validate(args) -> int:
     # loaded before anything is written, so a bad rules file leaves stdout empty
     ruleset = bias.load_rules(args.rules) if args.rules else None
     violations = 0
-    for line_no, code in doc.flagged:
+    for line_no, code, _s_index, _position in doc.stand_ins:
         print(f"line {line_no}: unknown tag {code!r}")
         violations += 1
     if ruleset is not None:
-        stand_ins = set(doc.stand_ins)
+        stand_ins = {(s_index, position) for _line_no, _code, s_index, position in doc.stand_ins}
         for s_index, sentence in enumerate(doc.sentences):
             for position, rule_id in ruleset.validate_sequence(list(sentence.tags)):
                 # the file holds no pair with a stand-in for an unknown tag
@@ -134,7 +134,7 @@ def cmd_validate(args) -> int:
                 violations += 1
     sys.stdout.flush()  # a closed pipe ends the run before the summary
     print(
-        f"spantag validate: {violations} violation(s) in {doc.provenance}",
+        f"spantag validate: {violations} violation(s) in {Path(args.path)}",
         file=sys.stderr,
     )
     return EXIT_VIOLATIONS if violations else EXIT_OK

@@ -4,8 +4,8 @@ Vertical files hold one ``token<TAB>TAG`` pair per line with a blank
 line after each sentence.  A ``#FALLBACK`` comment line flags the
 sentence that follows it as decoded without bias constraints; other
 ``#`` lines are ignored.  Strict reading rejects non-registry tags;
-lenient reading records them and substitutes the unclassified tag,
-recording where each stand-in sits.
+lenient reading substitutes the unclassified tag for each of them and
+records where each stand-in sits.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ _NO_SPAN = (-1, -1)  # vertical files carry no source offsets
 @dataclass
 class VerticalDocument:
     sentences: list[TaggedSentence]
-    provenance: str = ""
-    # (line number, offending tag code) collected in lenient mode
-    flagged: tuple[tuple[int, str], ...] = ()
-    # (sentence index, token index) of the stand-in put in for each of them
-    stand_ins: tuple[tuple[int, int], ...] = ()
+    # (line number, offending tag code, sentence index, token index) of
+    # each stand-in put in for an unknown tag in lenient mode, in file order
+    stand_ins: tuple[tuple[int, str, int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -50,11 +48,10 @@ def punctuationish(surface: str) -> bool:
     return bool(surface) and all(_is_punct_char(c) for c in surface)
 
 
-def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> VerticalDocument:
+def parse_vertical(text: str, strict: bool = True) -> VerticalDocument:
     sentences: list[TaggedSentence] = []
     pairs: list[tuple[Token, Tag]] = []
-    flagged: list[tuple[int, str]] = []
-    stand_ins: list[tuple[int, int]] = []
+    stand_ins: list[tuple[int, str, int, int]] = []
     fallback = False
     # One Token per distinct surface: every vertical token has the same
     # span, so equal surfaces give equal tokens anyway.
@@ -62,10 +59,10 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
 
     def close_sentence():
         nonlocal pairs, fallback
-        if pairs:
+        if pairs:  # a mark before a blank line flags the sentence after it
             sentences.append(TaggedSentence(pairs=tuple(pairs), fallback=fallback))
-        pairs = []
-        fallback = False
+            pairs = []
+            fallback = False
 
     for line_no, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
@@ -87,25 +84,18 @@ def parse_vertical(text: str, strict: bool = True, provenance: str = "") -> Vert
         except UnknownTag:
             if strict:
                 raise UnknownTag(code, line_no) from None
-            flagged.append((line_no, code))
-            stand_ins.append((len(sentences), len(pairs)))
+            stand_ins.append((line_no, code, len(sentences), len(pairs)))
             tag = parse_tag("PNC")
         token = tokens.get(surface)
         if token is None:
             token = tokens[surface] = _token_for(surface)
         pairs.append((token, tag))
     close_sentence()
-    return VerticalDocument(
-        sentences=sentences, provenance=provenance, flagged=tuple(flagged),
-        stand_ins=tuple(stand_ins),
-    )
+    return VerticalDocument(sentences=sentences, stand_ins=tuple(stand_ins))
 
 
 def read_vertical(path: str | Path, strict: bool = True) -> VerticalDocument:
-    path = Path(path)
-    return parse_file(
-        path, lambda text: parse_vertical(text, strict=strict, provenance=str(path))
-    )
+    return parse_file(Path(path), lambda text: parse_vertical(text, strict=strict))
 
 
 def format_vertical(doc: VerticalDocument) -> str:

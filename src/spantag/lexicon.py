@@ -76,15 +76,10 @@ class Lexicon:
     covers sentence-initial capitalization.
     """
 
-    def __init__(self, entries: dict[str, AmbiguityClass], source: str = ""):
+    def __init__(self, entries: dict[str, AmbiguityClass]):
         self._entries = dict(entries)
-        self.source = source
         # `lookup` finds no string longer than this: `str.lower` never shortens one
         self.longest = max(map(len, self._entries), default=0)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -97,9 +92,6 @@ class Lexicon:
         if cls is not None:
             return cls
         return self._entries.get(wordform.lower())
-
-    def wordforms(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
 
     def items(self):
         return self._entries.items()
@@ -114,7 +106,7 @@ def seed_lexicon() -> Lexicon:
         if category in SEED_CATEGORIES:
             for form in examples:
                 _add(entries, form, frozenset({parse_tag(code)}))
-    return Lexicon(entries, source="<seed>")
+    return Lexicon(entries)
 
 
 def _add(entries: dict[str, AmbiguityClass], form: str, tags: frozenset[Tag]):
@@ -122,7 +114,7 @@ def _add(entries: dict[str, AmbiguityClass], form: str, tags: frozenset[Tag]):
     entries[form] = AmbiguityClass(existing.tags | tags) if existing else AmbiguityClass(tags)
 
 
-def parse_lexicon(text: str, source: str = "<string>", include_seed: bool = True) -> Lexicon:
+def parse_lexicon(text: str, include_seed: bool = True) -> Lexicon:
     """Parse lexicon text: one ``wordform<TAB>TAG1,TAG2,...`` entry per line.
 
     Lines starting with ``#`` and blank lines are ignored.  Duplicate
@@ -149,14 +141,12 @@ def parse_lexicon(text: str, source: str = "<string>", include_seed: bool = True
             except UnknownTag:
                 raise UnknownTag(code, line_no) from None
         _add(entries, wordform, frozenset(tags))
-    return Lexicon(entries, source=source)
+    return Lexicon(entries)
 
 
-def load_lexicon(path: str | Path, include_seed: bool = True) -> Lexicon:
-    path = Path(path)
-    return parse_file(
-        path, lambda text: parse_lexicon(text, source=str(path), include_seed=include_seed)
-    )
+def load_lexicon(path: str | Path) -> Lexicon:
+    """A lexicon file's entries with the built-in seed merged beneath them."""
+    return parse_file(Path(path), parse_lexicon)
 
 
 def save_lexicon(lexicon: Lexicon) -> str:

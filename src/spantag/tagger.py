@@ -433,8 +433,8 @@ def model_from_text(text: str) -> HmmModel:
 _SECTIONS = ("TRANSITIONS", "EMISSIONS", "META")
 
 
-def _data_rows(lines: list[str], first_line_no: int, row_format: str, read_value):
-    """Scan a model file's sections, numbering `lines` from `first_line_no`:
+def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value):
+    """Scan a model file's ``(line number, line)`` pairs for its sections:
     its TRANSITIONS and EMISSIONS rows as ``{context: {outcome: value}}``
     in file order, its META rows as ``key -> (value, line number)``, and
     the line of each ``(section, context)``'s first row.  A row's value is
@@ -449,7 +449,7 @@ def _data_rows(lines: list[str], first_line_no: int, row_format: str, read_value
     meta: dict[str, tuple[str, int]] = {}
     first_lines: dict[tuple[str, str], int] = {}
     section = rows = contexts = outcomes = None
-    for line_no, raw in enumerate(lines, start=first_line_no):
+    for line_no, raw in numbered:
         cells = raw.split("\t")
         if rows is None or len(cells) != 3:
             if not raw.strip():
@@ -517,7 +517,7 @@ def _count_cell(section: str, outcome: str, cell: str, line_no: int) -> int:
 def _model_from_v1(lines: list[str]) -> HmmModel:
     """Parse v1 probability rows (normalization checked by HmmModel)."""
     transitions, emissions, meta, _first_lines = _data_rows(
-        lines, 1, "probability rows must be 'context<TAB>outcome<TAB>log10-prob'",
+        enumerate(lines, 1), "probability rows must be 'context<TAB>outcome<TAB>log10-prob'",
         _probability_cell)
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
     vocab = frozenset().union(*emissions.values()) - {UNKNOWN}
@@ -527,8 +527,10 @@ def _model_from_v1(lines: list[str]) -> HmmModel:
 def _model_from_counts(lines: list[str]) -> HmmModel:
     """Parse a counts file, check that its counts agree with each other
     and that they hold a sentence, and smooth them as `train` does."""
+    numbered = enumerate(lines, 1)
+    next(numbered)  # the COUNTS line
     trans_counts, emit_counts, meta, first_lines = _data_rows(
-        lines[1:], 2, "count rows must be 'context<TAB>outcome<TAB>count'", _count_cell)
+        numbered, "count rows must be 'context<TAB>outcome<TAB>count'", _count_cell)
     kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
     outgoing = {context: sum(row.values()) for context, row in trans_counts.items()}
     emitted = {code: sum(row.values()) for code, row in emit_counts.items()}
@@ -846,14 +848,14 @@ def iter_tagged(
             emits.append(row)
         try:
             tags, _score = _decode(model, ruleset, prep, emits)
-            flagged = False
+            fallback = False
         except NoValidPath:
             tags, _score = _decode(model, None, prep, emits)
-            flagged = True
+            fallback = True
         # Built from a list, the tuple is made at its final size; `tuple()`
         # of a generator grows it instead, and CPython's free lists then keep
         # the spent tuples, which tracemalloc saw growing with the input.
         yield TaggedSentence(
             pairs=tuple([(token, tag) for (token, _cls), tag in zip(prep, tags)]),
-            fallback=flagged,
+            fallback=fallback,
         )

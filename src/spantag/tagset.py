@@ -197,8 +197,8 @@ def _table_rows() -> Iterator[tuple[int, list[str]]]:
     lines = split_lines(_tagset_data.TABLE)
     if not lines or lines[0].split("\t") != list(_COLUMNS):
         raise RegistryError("embedded table header does not match the column layout")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line:
+    for line_no, line in enumerate(lines, start=1):
+        if line_no > 1 and line:
             cells = line.split("\t")
             if len(cells) != len(_COLUMNS):
                 raise RegistryError(f"table row {line_no}: expected {len(_COLUMNS)} columns")

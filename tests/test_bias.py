@@ -82,6 +82,8 @@ def test_interior_star_rejected():
 def test_lowercase_pattern_rejected():
     with pytest.raises(BadPattern):
         TagPattern("ncfs")
+    with pytest.raises(BadPattern, match="empty pattern"):
+        TagPattern("")
 
 
 def matched(pattern):

@@ -33,7 +33,7 @@ TWO_SENTENCES = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nel\tARTDMS\nlibro\tNCMS\n.\t.\n
 
 def test_read_two_sentences():
     doc = parse_vertical(TWO_SENTENCES)
-    assert len(doc.sentences) == 2
+    assert len(doc) == len(doc.sentences) == 2
     assert doc.token_count() == 6
     assert [t.surface for t, _tag in doc.sentences[0].pairs] == ["la", "mesa", "."]
     assert [tag.code for _t, tag in doc.sentences[1].pairs] == ["ARTDMS", "NCMS", "."]
@@ -58,7 +58,7 @@ def test_strict_rejects_unknown_tag():
 
 def test_lenient_flags_unknown_tag():
     doc = parse_vertical("mesa\tNCFS\nx\tBADTAG\n", strict=False)
-    assert doc.flagged == ((2, "BADTAG"),)
+    assert doc.stand_ins == ((2, "BADTAG", 0, 1),)
     assert doc.sentences[0].pairs[1][1].code == "PNC"
 
 
@@ -96,6 +96,14 @@ def test_fallback_mark_roundtrip():
     assert again.sentences[0].fallback is True
     assert again.sentences[1].fallback is False
     assert format_vertical(again) == text
+
+
+def test_fallback_mark_before_a_blank_line_flags_the_next_sentence():
+    doc = parse_vertical("#FALLBACK\n\nla\tARTDFS\n\n")
+    assert [s.fallback for s in doc.sentences] == [True]
+    assert format_vertical(doc) == "#FALLBACK\nla\tARTDFS\n\n"
+    inside = parse_vertical("la\tARTDFS\n#FALLBACK\nmesa\tNCFS\n\nel\tARTDMS\n\n")
+    assert [s.fallback for s in inside.sentences] == [True, False]
 
 
 def test_comment_lines_ignored():
@@ -241,12 +249,12 @@ def test_format_report_layout():
 
 def reference_parse(text, strict=True):
     """`parse_vertical` with a new Token and a new Tag built for every line."""
-    sentences, pairs, flagged, stand_ins, fallback = [], [], [], [], False
+    sentences, pairs, stand_ins, fallback = [], [], [], False
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             if pairs:
                 sentences.append(TaggedSentence(pairs=tuple(pairs), fallback=fallback))
-            pairs, fallback = [], False
+                pairs, fallback = [], False
         elif raw.strip() == FALLBACK_MARK:
             fallback = True
         elif not (raw.startswith("#") and "\t" not in raw):
@@ -255,14 +263,13 @@ def reference_parse(text, strict=True):
                 tag = Tag(code)
             except UnknownTag:
                 assert not strict
-                flagged.append((line_no, code))
-                stand_ins.append((len(sentences), len(pairs)))
+                stand_ins.append((line_no, code, len(sentences), len(pairs)))
                 tag = Tag("PNC")
             kind = KIND_PUNCTUATION if punctuationish(surface) else KIND_WORD
             pairs.append((Token(surface, (-1, -1), kind), tag))
     if pairs:
         sentences.append(TaggedSentence(pairs=tuple(pairs), fallback=fallback))
-    return VerticalDocument(sentences=sentences, flagged=tuple(flagged), stand_ins=tuple(stand_ins))
+    return VerticalDocument(sentences=sentences, stand_ins=tuple(stand_ins))
 
 
 def assert_one_object_per_value(doc):
@@ -299,7 +306,7 @@ def test_parse_vertical_equals_a_per_line_build(seed):
 
     lenient = _lenient_copy(gold, seed)
     doc = parse_vertical(lenient, strict=False)
-    assert doc.flagged and any(s.fallback for s in doc.sentences)
+    assert doc.stand_ins and any(s.fallback for s in doc.sentences)
     assert doc == reference_parse(lenient, strict=False)
     assert_one_object_per_value(doc)
 

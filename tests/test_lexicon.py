@@ -15,7 +15,7 @@ from spantag.lexicon import (
     save_lexicon,
     seed_lexicon,
 )
-from spantag.tagset import decompose, load_registry
+from spantag.tagset import decompose, load_registry, parse_tag
 
 
 def test_ambiguity_class_rejects_empty():
@@ -27,6 +27,7 @@ def test_ambiguity_class_registry_order():
     cls = AmbiguityClass.of("PAL", "CSUBI")
     assert cls.codes() == ("CSUBI", "PAL")  # CSUBI precedes PAL in the listing
     assert cls.signature() == "CSUBI,PAL"
+    assert parse_tag("PAL") in cls and parse_tag("NCFS") not in cls
 
 
 def test_ambiguity_class_order_is_fixed_without_changing_equality():
@@ -53,7 +54,7 @@ def test_empty_file_gives_seed(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     lex = load_lexicon(path)
-    assert lex.entry_count == seed_lexicon().entry_count
+    assert len(lex) == len(seed_lexicon())
     assert lex.lookup("al") is not None
 
 
@@ -72,7 +73,7 @@ def test_malformed_line():
 
 def test_comments_and_blanks_ignored():
     lex = parse_lexicon("# header\n\nmesa\tNCFS\n", include_seed=False)
-    assert lex.entry_count == 1
+    assert len(lex) == 1
 
 
 def test_duplicate_wordforms_unioned():
@@ -99,6 +100,7 @@ def test_seed_closed_class_lookups():
 def test_lookup_lowercase_fallback():
     lex = seed_lexicon()
     assert lex.lookup("La") == lex.lookup("la")
+    assert "La" in lex and "zzgrk" not in lex
     assert lex.lookup("Dónde").codes() == ("ADVLIN",)
 
 

@@ -245,6 +245,7 @@ BAD_LINES = {
     "meta-count-not-integer": (22, "count.ARTDFS\tx", 22),
     # legal in a v1 file, whose META is its only source of priors
     "meta-count-zero-without-emissions": (22, "count.ADVN\t0\ncount.ARTDFS\t3", 22),
+    "meta-count-unknown-tag": (22, "count.BADTAG\t3\ncount.ARTDFS\t3", 22),
     "data-before-header": (2, "<s>\tARTDFS\t3", 2),
 }
 

@@ -173,11 +173,11 @@ def test_nothing_outlives_the_call(model):
     lexicon = parse_lexicon("vender\tVLINF\nmesa\tNCFS\n")
     ruleset = parse_rules("FORBID ARTDFS NCMS\nFORBID CARDXP CARDGU\n")
     before = [copy.deepcopy(vars(obj)) for obj in (model, lexicon, ruleset)]
-    entries = lexicon.entry_count
+    entries = len(lexicon)
     banned = dict(ruleset.banned)
     text = "Zorvan vino . Al venderlo , la mesa Zorvan . 12 3-5 12 ."
     first = tag_text(model, lexicon, ruleset, text)
     assert [copy.deepcopy(vars(obj)) for obj in (model, lexicon, ruleset)] == before
-    assert lexicon.entry_count == entries
+    assert len(lexicon) == entries
     assert ruleset.banned == banned
     assert tag_text(model, lexicon, ruleset, text) == first

@@ -95,6 +95,7 @@ def test_codes_unique_and_ordered():
 
 def test_parse_tag_known():
     assert parse_tag("NCFS").code == "NCFS"
+    assert str(parse_tag("NCFS")) == "NCFS"
     assert parse_tag("QUDF").code == "QUDF"
     assert parse_tag(",").code == ","
 

@@ -518,6 +518,8 @@ def test_multiword_requires_single_spaces():
     text = "a  pesar de"  # double space blocks the merge
     tokens = merge_multiwords(tokenize(text), text, ("a pesar de",))
     assert [t.surface for t in tokens] == ["a", "pesar", "de"]
+    unmerged = merge_multiwords(tokens, text, ())
+    assert unmerged == tokens and unmerged is not tokens
 
 
 @pytest.mark.parametrize("entry", ["etc", "EE.UU.", "p.ej.", "...", ".", "2020.", "A4.", "a b."])
