@@ -4,82 +4,66 @@ A closed tag registry with feature decomposition, a Spanish-aware
 tokenizer, a lexicon with ambiguity classes and unknown-word guessing,
 transition-bias rules, and a bigram HMM tagger whose Viterbi decoding
 honours the rules as hard constraints.
+
+Importing the package loads none of its modules: each public name
+loads its module on first use (PEP 562), so a command pays only for
+the modules it runs.
 """
 
-from .bias import BiasRule, RuleSet, TagPattern, load_rules, parse_rules
-from .corpus_io import (
-    EvalReport,
-    VerticalDocument,
-    evaluate,
-    format_report,
-    format_sentence,
-    format_vertical,
-    parse_vertical,
-    read_vertical,
-    write_vertical,
-)
-from .errors import (
-    AlignmentError,
-    BadPattern,
-    EmptyCorpus,
-    EmptyInput,
-    LexiconParseError,
-    ModelFormatError,
-    NoSuchTag,
-    NoValidPath,
-    RegistryError,
-    RuleSyntaxError,
-    SmoothingError,
-    TaggingError,
-    UnknownTag,
-    VerticalFormatError,
-)
-from .lexicon import (
-    AmbiguityClass,
-    Lexicon,
-    ambiguity_report,
-    guess_unknown,
-    load_lexicon,
-    parse_lexicon,
-    save_lexicon,
-    seed_lexicon,
-)
-from .tagger import (
-    HmmModel,
-    TaggedSentence,
-    candidates,
-    iter_tagged,
-    load_model,
-    save_model,
-    tag_text,
-    train,
-    viterbi_decode,
-)
-from .tagset import (
-    FeatureBundle,
-    Registry,
-    RegistryEntry,
-    Tag,
-    compose,
-    decompose,
-    export_tsv,
-    format_features,
-    list_by,
-    load_registry,
-    parse_features,
-    parse_tag,
-)
-from .tokenizer import (
-    SplitDecision,
-    Token,
-    default_abbreviations,
-    merge_multiwords,
-    sentence_split,
-    split_enclitics,
-    split_portmanteau,
-    tokenize,
-)
+# Public names by the module that defines them.
+_EXPORTS = {
+    "bias": ("BiasRule", "RuleSet", "TagPattern", "load_rules", "parse_rules"),
+    "corpus_io": (
+        "EvalReport", "TaggedSentence", "VerticalDocument", "evaluate", "format_report",
+        "format_sentence", "format_vertical", "parse_vertical", "read_vertical",
+        "write_vertical",
+    ),
+    "errors": (
+        "AlignmentError", "BadPattern", "EmptyCorpus", "EmptyInput", "LexiconParseError",
+        "ModelFormatError", "NoSuchTag", "NoValidPath", "RegistryError", "RuleSyntaxError",
+        "SmoothingError", "TaggingError", "UnknownTag", "VerticalFormatError",
+    ),
+    "lexicon": (
+        "AmbiguityClass", "Lexicon", "ambiguity_report", "guess_unknown", "load_lexicon",
+        "parse_lexicon", "save_lexicon", "seed_lexicon",
+    ),
+    "tagger": (
+        "HmmModel", "candidates", "iter_tagged", "load_model", "save_model", "tag_text",
+        "train", "viterbi_decode",
+    ),
+    "tagset": (
+        "FeatureBundle", "Registry", "RegistryEntry", "Tag", "compose", "decompose",
+        "export_tsv", "format_features", "list_by", "load_registry", "parse_features",
+        "parse_tag",
+    ),
+    "tokenizer": (
+        "SplitDecision", "Token", "default_abbreviations", "merge_multiwords",
+        "sentence_split", "split_enclitics", "split_portmanteau", "tokenize",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def _submodule(module: str):
+    # `__import__`, unlike `importlib.import_module`, shows in `-X importtime`
+    __import__(f"{__name__}.{module}")
+    return globals()[module]  # the import binds the submodule on the package
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _submodule(name)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # `from spantag import <submodule>` then imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_submodule(module), name)  # later reads skip this
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,15 +14,41 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file, split_lines
-from .lexicon import Lexicon
 from .tagset import Tag, parse_tag
-from .tagger import TaggedSentence
 from .tokenizer import KIND_PUNCTUATION, KIND_WORD, Token, _is_punct_char
+
+if TYPE_CHECKING:
+    from .lexicon import Lexicon
 
 FALLBACK_MARK = "#FALLBACK"
 _NO_SPAN = (-1, -1)  # vertical files carry no source offsets
+
+
+@dataclass(frozen=True)
+class TaggedSentence:
+    """A non-empty sequence of (token, tag) pairs.
+
+    `fallback` marks sentences whose constrained decoding was infeasible
+    and that were re-decoded without bias rules.
+    """
+
+    pairs: tuple[tuple[Token, Tag], ...]
+    fallback: bool = False
+
+    def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("a tagged sentence must contain at least one token")
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(t for t, _tag in self.pairs)
+
+    @property
+    def tags(self) -> tuple[Tag, ...]:
+        return tuple(tag for _t, tag in self.pairs)
 
 
 @dataclass

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bias import RuleSet
+from .corpus_io import TaggedSentence
 from .errors import (
     EmptyCorpus, ModelFormatError, NoValidPath, SmoothingError, TaggingError, UnknownTag, parse_file,
     split_lines,
@@ -29,6 +29,9 @@ from .errors import (
 from .lexicon import AmbiguityClass, Lexicon, guess_unknown
 from .tagset import Tag, parse_tag, table_columns
 from . import tokenizer as tok
+
+if TYPE_CHECKING:
+    from .bias import RuleSet
 
 START = "<s>"
 END = "</s>"
@@ -41,30 +44,6 @@ _MIN_PROB = sys.float_info.min  # smallest normal float
 _COUNT_LIMIT = 2**63  # counts at or above this are rejected, so sums stay floats
 
 Counts = dict[str, dict[str, int]]  # training counts per context: {context: {outcome: n}}
-
-
-@dataclass(frozen=True)
-class TaggedSentence:
-    """A non-empty sequence of (token, tag) pairs.
-
-    `fallback` marks sentences whose constrained decoding was infeasible
-    and that were re-decoded without bias rules.
-    """
-
-    pairs: tuple[tuple[tok.Token, Tag], ...]
-    fallback: bool = False
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("a tagged sentence must contain at least one token")
-
-    @property
-    def tokens(self) -> tuple[tok.Token, ...]:
-        return tuple(t for t, _tag in self.pairs)
-
-    @property
-    def tags(self) -> tuple[Tag, ...]:
-        return tuple(tag for _t, tag in self.pairs)
 
 
 class HmmModel:

@@ -18,10 +18,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import TaggingError, content_lines, parse_file
-from .lexicon import Lexicon
 from .tagset import Tag, parse_tag, table_columns
+
+if TYPE_CHECKING:
+    from .lexicon import Lexicon
 
 KIND_WORD = "word"
 KIND_PUNCTUATION = "punctuation"
