@@ -1,0 +1,565 @@
+"""The bigram HMM's parameters: training, smoothing, and the model files.
+
+`train` counts a tagged corpus and add-k smooths the counts into an
+`HmmModel`.  A model is saved as its counts (a ``COUNTS`` file) or, when
+it has none, as v1 log-probability rows; `load_model` reads either back
+and checks it.  Decoding lives in `tagger`, which re-exports these names,
+so `spantag train` compiles neither the decoder nor the lexicon or the
+tokenizer.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from collections.abc import Iterator
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from ._core import parse_tag, table_columns
+from .errors import (
+    EmptyCorpus, ModelFormatError, SmoothingError, TaggingError, UnknownTag, parse_file,
+    split_lines,
+)
+
+if TYPE_CHECKING:
+    from .corpus_io import TaggedSentence
+
+START = "<s>"
+END = "</s>"
+UNKNOWN = "<unk>"
+
+COUNTS_MARKER = "COUNTS"  # first line of a counts model file
+
+_NORM_TOL = 1e-9
+_MIN_PROB = sys.float_info.min  # smallest normal float
+_COUNT_LIMIT = 2**63  # counts at or above this are rejected, so sums stay floats
+
+Counts = dict[str, dict[str, int]]  # training counts per context: {context: {outcome: n}}
+
+
+class HmmModel:
+    """Trained (or loaded) bigram HMM.
+
+    Each context code (START or a tag seen in training) has a transition
+    row over every registry tag plus END; each tag seen in training has an
+    emission row over the training vocabulary plus UNKNOWN.  Other rows are
+    implicitly uniform.  A row is stored as ``(unseen, seen)``: `seen` maps
+    outcomes to probabilities, and every other outcome has probability
+    `unseen`, the row's smallest.  The constructor takes full rows, which
+    must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
+    no add-k denominator may overflow, and no probability or tag prior may
+    be zero or subnormal.
+    A model built from rows, here or from a v1 file, carries no counts:
+    only `train` and the counts-file loader make a counts model (through
+    `_smoothed_model`).  `transition_counts` and `emission_counts` are
+    flat ``(context, outcome) -> n`` copies of a counts model's counts,
+    empty for any other model.
+    """
+
+    def __init__(self, transitions: dict[str, dict[str, float]],
+                 emissions: dict[str, dict[str, float]], tag_counts: dict[str, int],
+                 vocab: frozenset[str], kt: float, ke: float, corpus_name: str = "",
+                 token_count: int = 0):
+        self.kt = _smoothing_constant("kt", kt)
+        self.ke = _smoothing_constant("ke", ke)
+        self.tag_counts = dict(tag_counts)
+        self.vocab = frozenset(vocab)
+        self.corpus_name = corpus_name
+        self.token_count = token_count
+        self._transition_counts, self._emission_counts = {}, {}
+
+        codes = table_columns().codes
+        self._uniform_trans = (1.0 / (len(codes) + 1), {})
+        self._uniform_emit = (1.0 / (len(self.vocab) + 1), {})
+        denom = _add_k_denominator("kt", kt, sum(self.tag_counts.values()), len(codes))
+        self._priors = {code: (self.tag_counts.get(code, 0) + kt) / denom for code in codes}
+        # A zero or subnormal probability makes a log10 or an unknown-word
+        # share fail or lose its precision while tagging.
+        if min(self._priors.values()) < _MIN_PROB:
+            raise ModelFormatError(
+                f"kt {kt!r} is too small: a tag prior is zero or subnormal"
+            )
+        code_set = table_columns().index.keys()
+        self._store_rows(
+            _sparse_rows("transition", transitions, code_set | {START}, code_set | {END},
+                         f"the registry plus {END}"),
+            _sparse_rows("emission", emissions, code_set, self.vocab | {UNKNOWN},
+                         f"the vocabulary plus {UNKNOWN}"),
+        )
+
+    def _store_rows(self, transitions, emissions):
+        """Keep ``(unseen, seen)`` rows whose unseen value is normal."""
+        for table, constant, k, rows in (("transition", "kt", self.kt, transitions),
+                                         ("emission", "ke", self.ke, emissions)):
+            for context, (unseen, _seen) in rows.items():
+                if unseen < _MIN_PROB:
+                    raise ModelFormatError(
+                        f"{table} row for {context!r} holds a zero or subnormal "
+                        f"probability ({constant} {k!r} is too small)"
+                    )
+        self._transitions = transitions
+        self._emissions = emissions
+
+    @property
+    def transitions(self) -> dict[str, dict[str, float]]:
+        """Full transition rows over registry order then END, built on access."""
+        return _full_rows(self._transitions, [*table_columns().codes, END])
+
+    @property
+    def emissions(self) -> dict[str, dict[str, float]]:
+        """Full emission rows over sorted forms then UNKNOWN, built on access."""
+        return _full_rows(self._emissions, sorted(self.vocab) + [UNKNOWN])
+
+    @property
+    def transition_counts(self) -> dict[tuple[str, str], int]:
+        """Transition counts as ``(context, outcome) -> n``, built on access."""
+        return _flat_counts(self._transition_counts)
+
+    @property
+    def emission_counts(self) -> dict[tuple[str, str], int]:
+        """Emission counts as ``(tag, form) -> n``, built on access."""
+        return _flat_counts(self._emission_counts)
+
+    # ------------------------------------------------------------- scoring
+    def transition_logp(self, prev_code: str, next_code: str) -> float:
+        unseen, seen = self._transitions.get(prev_code, self._uniform_trans)
+        return math.log10(seen.get(next_code, unseen))
+
+    def emission_logp(self, tag_code: str, form: str) -> float:
+        unseen, seen = self._emissions.get(tag_code, self._uniform_emit)
+        return math.log10(seen.get(form, unseen))
+
+    def unknown_prob(self, tag_code: str) -> float:
+        unseen, seen = self._emissions.get(tag_code, self._uniform_emit)
+        return seen.get(UNKNOWN, unseen)
+
+    def prior(self, tag_code: str) -> float:
+        """Smoothed unigram tag probability from the training counts."""
+        return self._priors[tag_code]
+
+    def emission_form(self, surface: str) -> str | None:
+        """Vocabulary form to score, with a one-step lowercase fallback."""
+        if surface in self.vocab:
+            return surface
+        lowered = surface.lower()
+        if lowered in self.vocab:
+            return lowered
+        return None
+
+
+def _smoothing_constant(name: str, value: float) -> float:
+    """`value`, checked to be a finite number above 0."""
+    if not 0.0 < value < math.inf:  # also false for nan
+        raise SmoothingError(f"{name} must be a finite number above 0, not {value!r}")
+    return value
+
+
+def _add_k_denominator(name: str, k: float, total: int, n_outcomes: int) -> float:
+    """``total + k * n_outcomes``, checked not to overflow."""
+    denom = total + k * n_outcomes
+    if denom == math.inf:
+        raise ModelFormatError(f"{name} {k!r} is too large: an add-k denominator overflows")
+    return denom
+
+
+def _sparse_rows(table: str, rows: dict, contexts: set[str], outcomes: set[str], cover: str):
+    """Check full probability rows and store each as ``(unseen, seen)``:
+    its minimum, and the outcomes whose probability differs from it."""
+    sparse = {}
+    for context, row in rows.items():
+        if context not in contexts:
+            raise ModelFormatError(f"{table} context {context!r} is not a registry tag")
+        if row.keys() != outcomes:
+            raise ModelFormatError(f"{table} row for {context!r} does not cover {cover}")
+        total = math.fsum(row.values())
+        if not abs(total - 1.0) <= _NORM_TOL:  # also rejects a nan total
+            raise ModelFormatError(f"{table} row for {context!r} sums to {total!r}")
+        unseen = min(row.values())
+        sparse[context] = (unseen, {o: p for o, p in row.items() if p != unseen})
+    return sparse
+
+
+def _full_rows(rows: dict, outcomes: list[str]) -> dict[str, dict[str, float]]:
+    return {c: {o: seen.get(o, unseen) for o in outcomes} for c, (unseen, seen) in rows.items()}
+
+
+def _flat_counts(rows: Counts) -> dict[tuple[str, str], int]:
+    return {(c, o): n for c, row in rows.items() for o, n in row.items()}
+
+
+def train(corpus: list[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
+          corpus_name: str = "") -> HmmModel:
+    """Maximum-likelihood counts with add-k smoothing.
+
+    Transition rows cover the full registry plus the end pseudo-tag;
+    emission rows cover the observed vocabulary plus the unknown symbol.
+    Deterministic for a given corpus and smoothing values.
+    """
+    if not corpus:
+        raise EmptyCorpus("training corpus is empty")
+
+    codes = table_columns().index
+    # each tag's transition row is made with its emission row
+    trans_counts: Counts = {START: {}}
+    emit_counts: Counts = {}
+    for s_index, sentence in enumerate(corpus):
+        prev = trans_counts[START]
+        for position, (token, tag) in enumerate(sentence.pairs):
+            code = tag.code
+            emitted = emit_counts.get(code)
+            if emitted is None:
+                if code not in codes:
+                    raise UnknownTag(code)
+                emitted = emit_counts[code] = {}
+                trans_counts[code] = {}
+            form = token.surface
+            if form == UNKNOWN:
+                raise TaggingError(
+                    f"sentence {s_index}, token {position}: the wordform {UNKNOWN!r} "
+                    "is reserved for unknown words and cannot be trained"
+                )
+            emitted[form] = emitted.get(form, 0) + 1
+            prev[code] = prev.get(code, 0) + 1
+            prev = trans_counts[code]
+        prev[END] = prev.get(END, 0) + 1
+
+    return _smoothed_model(trans_counts, emit_counts, kt, ke, corpus_name)
+
+
+def _smoothed_model(trans_counts: Counts, emit_counts: Counts, kt: float, ke: float,
+                    corpus_name: str) -> HmmModel:
+    """The add-k smoothed model of a set of counts held per context.
+
+    This is the only code that makes a counts model: `train` and the
+    counts-file loader both build their model here, so a saved and
+    reloaded model is bit-identical to the trained one.  Each tag's count
+    is its emission row's total, the token count is their sum and the
+    vocabulary is the union of the rows' forms, so none can disagree with
+    the rows.  Each row is ``(k / denom, {outcome: (n + k) / denom})``
+    over its seen outcomes; ``0 + k`` is exactly ``k``, so every outcome's
+    probability is the float ``(n + k) / denom`` for its count.  Every
+    ``n`` is at least 1, so the unseen value is the row's smallest and
+    needs no search.  Rows are made for START and each tag that emits, in
+    registry order.
+    """
+    tag_counts = {code: sum(row.values()) for code, row in emit_counts.items()}
+    vocab = frozenset().union(*emit_counts.values())
+    # built first, so that its constructor checks kt and ke before they divide
+    model = HmmModel({}, {}, tag_counts, vocab, kt, ke, corpus_name, sum(tag_counts.values()))
+    model._transition_counts, model._emission_counts = trans_counts, emit_counts
+    codes = table_columns().codes
+    seen_tags = [c for c in codes if c in tag_counts]
+    model._store_rows(
+        _smoothed_rows("kt", kt, trans_counts, [START] + seen_tags, len(codes) + 1),
+        _smoothed_rows("ke", ke, emit_counts, seen_tags, len(vocab) + 1),
+    )
+    return model
+
+
+def _smoothed_rows(name: str, k: float, counts: Counts, contexts: list[str],
+                   n_outcomes: int) -> dict[str, tuple]:
+    """``(unseen, seen)`` add-k rows of `contexts` over `n_outcomes` outcomes."""
+    rows = {}
+    for context in contexts:
+        row = counts.get(context, {})
+        denom = _add_k_denominator(name, k, sum(row.values()), n_outcomes)
+        rows[context] = (k / denom, {o: (n + k) / denom for o, n in row.items()})
+    return rows
+
+
+# ------------------------------------------------------------------ model IO
+
+def _registry_order() -> dict[str, int]:
+    order = dict(table_columns().index)
+    order[START] = -1
+    order[END] = len(order)
+    return order
+
+
+def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
+    name = model.corpus_name
+    # A tab, LF or CR would split or clip the corpus row when the file is read
+    # back (`split_lines`), and a lone surrogate cannot be written as UTF-8.
+    if any(ch in "\t\n\r" or "\ud800" <= ch <= "\udfff" for ch in name):
+        raise TaggingError(f"corpus name {name!r} cannot be stored in a model file")
+    return [
+        "META",
+        f"corpus\t{name}",
+        f"tokens\t{model.token_count}",
+        f"kt\t{model.kt!r}",
+        f"ke\t{model.ke!r}",
+    ] + [
+        f"count.{code}\t{model.tag_counts[code]}"
+        for code in sorted(model.tag_counts, key=order.__getitem__)
+    ]
+
+
+def model_to_text(model: HmmModel) -> str:
+    """Serialize a model as v1 probability rows: TRANSITIONS / EMISSIONS /
+    META sections.
+
+    Probability rows are ``context<TAB>outcome<TAB>log10-prob``.  META
+    rows are ``key<TAB>value`` and carry the smoothing constants plus the
+    sparse per-tag training counts needed to rebuild tag priors.
+    """
+    order = _registry_order()
+    lines = []
+    for section, rows in (("TRANSITIONS", model.transitions), ("EMISSIONS", model.emissions)):
+        lines.append(section)
+        for context in sorted(rows, key=order.__getitem__):
+            for outcome, prob in rows[context].items():
+                lines.append(f"{context}\t{outcome}\t{math.log10(prob)!r}")
+    lines += _meta_lines(model, order)
+    return "\n".join(lines) + "\n"
+
+
+def model_to_counts_text(model: HmmModel) -> str:
+    """Serialize a model's training counts: a ``COUNTS`` marker line, then
+    TRANSITIONS / EMISSIONS / META sections.
+
+    Count rows are ``context<TAB>outcome<TAB>count``, one per pair seen in
+    training, in registry order (forms sorted within a tag).  META is as
+    in `model_to_text`.  Unseen outcomes are implied by add-k smoothing,
+    which the loader redoes exactly as `train` does.
+    """
+    order = _registry_order()
+    lines = [COUNTS_MARKER]
+    for section, rows, outcome_key in (
+        ("TRANSITIONS", model._transition_counts, order.__getitem__),
+        ("EMISSIONS", model._emission_counts, None),
+    ):
+        lines.append(section)
+        for context in sorted(rows, key=order.__getitem__):
+            row = rows[context]
+            lines += [f"{context}\t{outcome}\t{row[outcome]}"
+                      for outcome in sorted(row, key=outcome_key)]
+    lines += _meta_lines(model, order)
+    return "\n".join(lines) + "\n"
+
+
+def save_model(model: HmmModel, path: str | Path):
+    """Write a counts file, or v1 probability rows for a model that has
+    no counts (one loaded from a v1 file or built from rows)."""
+    text = model_to_counts_text(model) if model._transition_counts else model_to_text(model)
+    # encoded before the file is opened, so a failure leaves it untouched
+    Path(path).write_bytes(text.encode("utf-8"))
+
+
+def _count(text: str, least: int = 0) -> int:
+    """`text` as a count of at least `least`, spelled in ASCII digits
+    only, else a ValueError.  `int` alone would also take signs, blanks,
+    ``_`` and non-ASCII digits."""
+    if text.isascii() and text.isdigit() and len(text) < 20:
+        value = int(text)
+        if least <= value < _COUNT_LIMIT:
+            return value
+    raise ValueError(text)
+
+
+def _smoothing_text(name: str, text: str) -> float:
+    """`text` as a smoothing constant, spelled in ASCII with no ``_`` and
+    no blanks around it, which `float` alone would take."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return _smoothing_constant(name, float(text))
+
+
+def _meta_fields(meta: dict[str, tuple[str, int]]) -> tuple[float, float, dict[str, int], str, int]:
+    """kt, ke, tag counts, corpus name and token count of a META section."""
+
+    def meta_number(key: str, convert, default: str | None = None):
+        value, line_no = meta.get(key, (default, None))
+        if value is None:
+            raise ModelFormatError(f"META lacks required key {key!r}")
+        try:
+            return convert(value)
+        except ValueError:
+            raise ModelFormatError(f"bad META value {value!r} for {key!r}", line_no) from None
+
+    kt = meta_number("kt", lambda text: _smoothing_text("kt", text))
+    ke = meta_number("ke", lambda text: _smoothing_text("ke", text))
+    tag_counts = {}
+    for key, (_value, line_no) in meta.items():
+        if key.startswith("count."):
+            code = key[len("count."):]
+            try:
+                parse_tag(code)
+            except UnknownTag:
+                raise ModelFormatError(f"META counts unknown tag {code!r}", line_no) from None
+            tag_counts[code] = meta_number(key, _count)
+    token_count = meta_number("tokens", _count, default="0")
+    return kt, ke, tag_counts, meta.get("corpus", ("", None))[0], token_count
+
+
+def model_from_text(text: str) -> HmmModel:
+    """Parse and validate a serialized model: a counts file when its first
+    line is ``COUNTS``, v1 probability rows otherwise."""
+    lines = split_lines(text)
+    if lines[0] == COUNTS_MARKER:
+        return _model_from_counts(lines)
+    return _model_from_v1(lines)
+
+
+_SECTIONS = ("TRANSITIONS", "EMISSIONS", "META")
+
+
+def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value):
+    """Scan a model file's ``(line number, line)`` pairs for its sections:
+    its TRANSITIONS and EMISSIONS rows as ``{context: {outcome: value}}``
+    in file order, its META rows as ``key -> (value, line number)``, and
+    the line of each ``(section, context)``'s first row.  A row's value is
+    ``read_value(section, outcome, cell, line_no)``, read in the same pass,
+    so the first fault in file order is the one reported.  Blank lines are
+    skipped; data before the first section header, rows of the wrong
+    width, a second row for one pair or META key and rows whose context or
+    outcome no model can hold are rejected."""
+    codes = table_columns().index.keys()
+    allowed = {"TRANSITIONS": (codes | {START}, codes | {END}), "EMISSIONS": (codes, None)}
+    tables: dict[str, dict[str, dict]] = {"TRANSITIONS": {}, "EMISSIONS": {}}
+    meta: dict[str, tuple[str, int]] = {}
+    first_lines: dict[tuple[str, str], int] = {}
+    section = rows = contexts = outcomes = None
+    for line_no, raw in numbered:
+        cells = raw.split("\t")
+        if rows is None or len(cells) != 3:
+            if not raw.strip():
+                continue
+            if raw in _SECTIONS:
+                section, rows = raw, tables.get(raw)
+                contexts, outcomes = allowed.get(raw, (None, None))
+                continue
+            if section is None:
+                raise ModelFormatError("data before the first section header", line_no)
+            if rows is not None:
+                raise ModelFormatError(row_format, line_no)
+            if len(cells) != 2:
+                raise ModelFormatError("META rows must be 'key<TAB>value'", line_no)
+            if cells[0] in meta:
+                raise ModelFormatError(f"second META row for {cells[0]!r}", line_no)
+            meta[cells[0]] = (cells[1], line_no)
+            continue
+        context, outcome, cell = cells
+        row = rows.get(context)
+        if row is None:
+            if context not in contexts:
+                if not raw.strip():  # two tabs among blanks
+                    continue
+                raise ModelFormatError(
+                    f"emission tag {context!r} is not a registry tag" if outcomes is None
+                    else f"transition context {context!r} is neither {START} nor a registry tag",
+                    line_no,
+                )
+            row = rows[context] = {}
+            first_lines[section, context] = line_no
+        if outcomes is not None and outcome not in outcomes:
+            raise ModelFormatError(
+                f"transition outcome {outcome!r} is neither a registry tag nor {END}", line_no
+            )
+        value = read_value(section, outcome, cell, line_no)
+        if outcome in row:
+            raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
+        row[outcome] = value
+    return tables["TRANSITIONS"], tables["EMISSIONS"], meta, first_lines
+
+
+def _probability_cell(_section: str, _outcome: str, cell: str, line_no: int) -> float:
+    """A v1 row's probability, from its log10 cell."""
+    try:
+        prob = 10.0 ** float(cell)
+    except (ValueError, OverflowError):
+        raise ModelFormatError(f"bad log-probability {cell!r}", line_no) from None
+    if not prob > 0.0:
+        raise ModelFormatError(f"log-probability {cell!r} is not above -inf", line_no)
+    return prob
+
+
+def _count_cell(section: str, outcome: str, cell: str, line_no: int) -> int:
+    """A counts row's count; no row may emit UNKNOWN."""
+    try:
+        n = _count(cell, least=1)
+    except ValueError:
+        raise ModelFormatError(f"count {cell!r} is not a positive integer", line_no) from None
+    if outcome == UNKNOWN and section == "EMISSIONS":
+        raise ModelFormatError(f"emission form {UNKNOWN!r} is reserved for unknown words", line_no)
+    return n
+
+
+def _model_from_v1(lines: list[str]) -> HmmModel:
+    """Parse v1 probability rows (normalization checked by HmmModel)."""
+    transitions, emissions, meta, _first_lines = _data_rows(
+        enumerate(lines, 1), "probability rows must be 'context<TAB>outcome<TAB>log10-prob'",
+        _probability_cell)
+    kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
+    vocab = frozenset().union(*emissions.values()) - {UNKNOWN}
+    return HmmModel(transitions, emissions, tag_counts, vocab, kt, ke, corpus_name, token_count)
+
+
+def _model_from_counts(lines: list[str]) -> HmmModel:
+    """Parse a counts file, check that its counts agree with each other
+    and that they hold a sentence, and smooth them as `train` does."""
+    numbered = enumerate(lines, 1)
+    next(numbered)  # the COUNTS line
+    trans_counts, emit_counts, meta, first_lines = _data_rows(
+        numbered, "count rows must be 'context<TAB>outcome<TAB>count'", _count_cell)
+    kt, ke, tag_counts, corpus_name, token_count = _meta_fields(meta)
+    outgoing = {context: sum(row.values()) for context, row in trans_counts.items()}
+    emitted = {code: sum(row.values()) for code, row in emit_counts.items()}
+    incoming: dict[str, int] = {}
+    for row in trans_counts.values():
+        for outcome, n in row.items():
+            incoming[outcome] = incoming.get(outcome, 0) + n
+
+    codes = table_columns().codes
+    for code in codes:
+        n_emitted, n_outgoing = emitted.get(code, 0), outgoing.get(code, 0)
+        if n_emitted and code not in tag_counts:
+            raise ModelFormatError(f"tag {code!r} emits but META has no count.{code}",
+                                   first_lines["EMISSIONS", code])
+        if n_emitted != tag_counts.get(code, 0):
+            raise ModelFormatError(
+                f"count.{code} is {tag_counts[code]} but its emissions total {n_emitted}",
+                meta[f"count.{code}"][1])
+        if n_outgoing != n_emitted:
+            raise ModelFormatError(
+                f"tag {code!r} has {n_outgoing} outgoing transitions but {n_emitted} emissions",
+                first_lines.get(("TRANSITIONS", code), first_lines.get(("EMISSIONS", code))),
+            )
+    started, sentences = outgoing.get(START, 0), incoming.get(END, 0)
+    if started != sentences:
+        raise ModelFormatError(f"{START} has {started} transitions but {sentences} lead to {END}",
+                               first_lines.get(("TRANSITIONS", START)))
+    for code in codes:
+        n_incoming, n_emitted = incoming.get(code, 0), emitted.get(code, 0)
+        if n_incoming != n_emitted:
+            raise ModelFormatError(
+                f"tag {code!r} has {n_incoming} incoming transitions but {n_emitted} emissions",
+                _first_transition_into(lines, code) or first_lines.get(("EMISSIONS", code)),
+            )
+    if token_count != sum(tag_counts.values()):
+        raise ModelFormatError(
+            f"tokens is {token_count} but the tag counts total {sum(tag_counts.values())}",
+            meta.get("tokens", (None, None))[1],
+        )
+    # Checked last, so each fault above keeps its message: no corpus gives a
+    # tag a count of 0 or holds no sentence.
+    for code, n in tag_counts.items():
+        if not n:
+            raise ModelFormatError(f"count.{code} is 0: a counts file lists only tags seen "
+                                   "in training", meta[f"count.{code}"][1])
+    if not started:
+        raise ModelFormatError(f"no transition leaves {START}: the counts hold no sentence")
+    return _smoothed_model(trans_counts, emit_counts, kt, ke, corpus_name)
+
+
+def _first_transition_into(lines: list[str], code: str) -> int | None:
+    """Number of the first TRANSITIONS line whose outcome is `code`, if any."""
+    section = None
+    for line_no, raw in enumerate(lines, start=1):
+        section = raw if raw in _SECTIONS else section
+        if section == "TRANSITIONS" and raw.split("\t")[1:2] == [code]:
+            return line_no
+
+
+def load_model(path: str | Path) -> HmmModel:
+    return parse_file(path, model_from_text)

@@ -1,7 +1,7 @@
 """Embedded canonical tag table.
 
 One row per tag, tab separated, in registry order.  Column layout is
-defined by ``tagset._COLUMNS``; ``-`` marks an attribute left at its
+defined by ``_core._COLUMNS``; ``-`` marks an attribute left at its
 default value.  The registry loader validates the whole table on first
 use.  Do not edit rows by hand without re-running the registry tests.
 """

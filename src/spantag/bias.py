@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._core import Tag, table_columns
 from .errors import BadPattern, RuleSyntaxError, content_lines, parse_file
-from .tagset import Tag, table_columns
 
 FORBID = "forbid"
 REQUIRE = "require"

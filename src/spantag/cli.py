@@ -6,9 +6,11 @@ always as UTF-8.  Exit codes: 0 success, 1 validation failures found,
 2 usage or input errors.  No environment variables are consulted;
 behaviour is fully determined by flags, so runs are reproducible.
 
-Each subcommand imports only the modules it runs: `validate` never
-loads the tagger or the lexicon, and `--help` loads no module but this
-one and `errors`.
+Each subcommand imports only the modules it runs: `train` loads the
+model code (`_model`) and the corpus reader, never the decoder, the
+lexicon, the tokenizer or the feature registry; `validate` and `eval`
+load only the corpus reader and the tag table (`_core`); `--help` loads
+no module but this one and `errors`.
 """
 
 from __future__ import annotations
@@ -88,20 +90,22 @@ def cmd_tokenize(args) -> int:
     return EXIT_OK
 
 
-# `tag` and `train` import the tagger before any other module, so the largest
-# module compiles while the heap is smallest.  On the benchmark workloads
-# this puts both commands' peak RSS about 0.6 MiB below that of importing
-# every module up front; importing `bias` first instead puts it 0.1-0.3 MiB
-# above.
+# Peak RSS follows import order: the largest module should compile while
+# the heap is smallest, before anything imports `dataclasses` (`_core` and
+# every module built on it do).  So `train` imports `_model` first, and `tag`
+# imports `tagger`, which imports `_model` first.  On the benchmark
+# workloads this puts both commands' peak RSS 0.2-0.5 MiB below that of
+# importing `tagger` whole; importing `corpus_io` first in `tag` instead
+# puts it 0.4-0.55 MiB higher, above that of importing `tagger` whole.
 
 def cmd_train(args) -> int:
-    from . import tagger, corpus_io
+    from . import _model, corpus_io
     doc = corpus_io.read_vertical(args.corpus, strict=not args.lenient)
-    model = tagger.train(
+    model = _model.train(
         doc.sentences, kt=args.kt, ke=args.ke,
         corpus_name=args.name or Path(args.corpus).name,
     )
-    tagger.save_model(model, args.model)
+    _model.save_model(model, args.model)
     sys.stdout.write(
         f"sentences\t{len(doc.sentences)}\n"
         f"tokens\t{model.token_count}\n"

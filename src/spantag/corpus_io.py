@@ -16,9 +16,8 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._core import KIND_PUNCTUATION, KIND_WORD, Tag, Token, _is_punct_char, parse_tag
 from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file, split_lines
-from .tagset import Tag, parse_tag
-from .tokenizer import KIND_PUNCTUATION, KIND_WORD, Token, _is_punct_char
 
 if TYPE_CHECKING:
     from .lexicon import Lexicon

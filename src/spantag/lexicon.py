@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from ._core import Tag, parse_tag, table_columns
 from .errors import EmptyInput, LexiconParseError, UnknownTag, content_lines, parse_file
-from .tagset import Tag, parse_tag, table_columns
 
 # Registry categories whose example forms seed the built-in lexicon.
 SEED_CATEGORIES = frozenset({

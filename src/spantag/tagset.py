@@ -6,14 +6,16 @@ table (`_tagset_data`).  Tag names are mnemonic but irregular, so the
 table is the sole source of truth; nothing here derives features from
 the shape of a code.
 
-The table is read at two depths.  `table_columns()` reads the codes, in
-registry order, and the few columns that tagging needs (category, mood,
-examples); it checks the header, each row's width, the entry count and
-that no code repeats.  `load_registry()` builds a `FeatureBundle` for
-every row on top of that read, checking each value's spelling and that
-no two tags share a bundle; only the feature API (`decompose`,
-`compose`, `format_features`, `list_by`, `export_tsv` and the `tagset`
-command) needs it.
+The table is read at two depths.  `table_columns()` (in `_core`, with
+`Tag`, `parse_tag` and the column layout, and re-exported here) reads
+the codes, in registry order, and the few columns that tagging needs
+(category, mood, examples); it checks the header, each row's width, the
+entry count and that no code repeats.  `load_registry()`, in this
+module, builds a `FeatureBundle` for every row on top of that read,
+checking each value's spelling and that no two tags share a bundle; only
+the feature API (`decompose`, `compose`, `format_features`, `list_by`,
+`export_tsv` and the `tagset` command) needs it, so only it compiles
+this module.
 
 All values are immutable once read and safe to share across threads.
 """
@@ -22,10 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
-from . import _tagset_data
-from .errors import NoSuchTag, RegistryError, UnknownTag, split_lines
+# the tag table's reader; `tagset.X` is `_core.X` for each of these names
+from ._core import (
+    _COLUMNS, _FEATURE_COLUMNS, _TAGS, _UNMARKED_MOOD, REGISTRY_SIZE, Tag, TableColumns,
+    _table_rows, parse_tag, table_columns,
+)
+from .errors import NoSuchTag, RegistryError, UnknownTag
 
 CATEGORIES = frozenset({
     "punctuation", "adjective", "adverb", "alphabet-letter", "article",
@@ -61,25 +67,6 @@ POSSESSIVE_POSITIONS = frozenset({"prenominal", "full-form", "none"})
 
 
 @dataclass(frozen=True)
-class Tag:
-    """A validated tag code from the closed registry.
-
-    Construction checks membership in `table_columns().index`, so holding
-    a Tag guarantees registry validity and making one never builds the
-    registry.  Comparison is exact and case sensitive.
-    """
-
-    code: str
-
-    def __post_init__(self):
-        if self.code not in table_columns().index:
-            raise UnknownTag(self.code)
-
-    def __str__(self) -> str:
-        return self.code
-
-
-@dataclass(frozen=True)
 class FeatureBundle:
     """Attribute-value decomposition of one tag.
 
@@ -96,7 +83,7 @@ class FeatureBundle:
     degree: str = "underspecified"
     verb_class: str = "none"
     tense: str = "none"
-    mood: str = "none"
+    mood: str = _UNMARKED_MOOD
     deixis: str = "none"
     directionality: str = "none"
     polarity: str = "neutral"
@@ -117,31 +104,32 @@ class RegistryEntry:
     notes: str = ""
 
 
-# (bundle field, table column, external attribute name, allowed values);
+# (bundle field, table column, external attribute name, allowed values) of
+# each feature column, in the table's order (`_core._FEATURE_COLUMNS`);
 # None allows any text (subcategory is free-form per category).
-_FEATURE_SPEC = (
-    ("category", "CATEGORY", "category", CATEGORIES),
-    ("subcategory", "SUBCATEGORY", "subcategory", None),
-    ("gender", "GENDER", "gender", GENDERS),
-    ("number", "NUMBER", "number", NUMBERS),
-    ("person", "PERSON", "person", PERSONS),
-    ("degree", "DEGREE", "degree", DEGREES),
-    ("verb_class", "VERBCLASS", "verb-class", VERB_CLASSES),
-    ("tense", "TENSE", "tense", TENSES),
-    ("mood", "MOOD", "mood", MOODS),
-    ("deixis", "DEIXIS", "deixis", DEIXES),
-    ("directionality", "DIRECTIONALITY", "directionality", DIRECTIONALITIES),
-    ("polarity", "POLARITY", "polarity", POLARITIES),
-    ("pronominal_function", "PRONFN", "pronominal-function", PRONOMINAL_FUNCTIONS),
-    ("animacy", "ANIMACY", "animacy", ANIMACIES),
-    ("case_role", "CASE", "case-role", CASE_ROLES),
-    ("politeness", "POLITENESS", "politeness", POLITENESS_VALUES),
-    ("existential", "EXISTENTIAL", "existential", frozenset({False, True})),
-    ("possessive_position", "POSSPOS", "possessive-position", POSSESSIVE_POSITIONS),
+_FEATURE_SPEC = tuple(
+    (field_name, column, ext, allowed)
+    for column, (field_name, ext, allowed) in zip(_FEATURE_COLUMNS, (
+        ("category", "category", CATEGORIES),
+        ("subcategory", "subcategory", None),
+        ("gender", "gender", GENDERS),
+        ("number", "number", NUMBERS),
+        ("person", "person", PERSONS),
+        ("degree", "degree", DEGREES),
+        ("verb_class", "verb-class", VERB_CLASSES),
+        ("tense", "tense", TENSES),
+        ("mood", "mood", MOODS),
+        ("deixis", "deixis", DEIXES),
+        ("directionality", "directionality", DIRECTIONALITIES),
+        ("polarity", "polarity", POLARITIES),
+        ("pronominal_function", "pronominal-function", PRONOMINAL_FUNCTIONS),
+        ("animacy", "animacy", ANIMACIES),
+        ("case_role", "case-role", CASE_ROLES),
+        ("politeness", "politeness", POLITENESS_VALUES),
+        ("existential", "existential", frozenset({False, True})),
+        ("possessive_position", "possessive-position", POSSESSIVE_POSITIONS),
+    ), strict=True)
 )
-
-# Table column order in _tagset_data.TABLE.
-_COLUMNS = ("TAG", *(c for _f, c, _e, _v in _FEATURE_SPEC), "DESCRIPTION", "EXAMPLES", "NOTES")
 
 _EXTERNAL_TO_FIELD = {ext: f for f, _c, ext, _v in _FEATURE_SPEC}
 _DEFAULTS = {f.name: f.default for f in fields(FeatureBundle)}
@@ -189,58 +177,6 @@ def _cell(bundle: FeatureBundle, field_name: str) -> str:
     """Text of one bundle field, ``-`` when it holds its default value."""
     value = getattr(bundle, field_name)
     return "-" if value == _DEFAULTS[field_name] else _spell(value)
-
-
-def _table_rows() -> Iterator[tuple[int, list[str]]]:
-    """(line number, cells) of each row of the embedded table, after
-    checking the header and the row's width."""
-    lines = split_lines(_tagset_data.TABLE)
-    if not lines or lines[0].split("\t") != list(_COLUMNS):
-        raise RegistryError("embedded table header does not match the column layout")
-    for line_no, line in enumerate(lines, start=1):
-        if line_no > 1 and line:
-            cells = line.split("\t")
-            if len(cells) != len(_COLUMNS):
-                raise RegistryError(f"table row {line_no}: expected {len(_COLUMNS)} columns")
-            yield line_no, cells
-
-
-class TableColumns(NamedTuple):
-    """The table columns that tagging reads.  `category`, `mood` and
-    `examples` run parallel to `codes`; an unmarked mood is ``none``.
-    One instance is shared by every caller, so `index` is read only."""
-
-    codes: tuple[str, ...]  # registry order
-    index: dict[str, int]  # code -> position in `codes`
-    category: tuple[str, ...]
-    mood: tuple[str, ...]
-    examples: tuple[tuple[str, ...], ...]
-
-
-# Checked size of the closed inventory; the loader refuses a table that
-# does not contain exactly this many entries.
-REGISTRY_SIZE = 492
-
-_CATEGORY, _MOOD, _EXAMPLES = (_COLUMNS.index(c) for c in ("CATEGORY", "MOOD", "EXAMPLES"))
-
-
-@lru_cache(maxsize=1)
-def table_columns() -> TableColumns:
-    """Read the codes and the columns tagging needs, without building a
-    feature bundle.  Checks the header, each row's width, the entry
-    count and that no code repeats; `load_registry` checks the rest."""
-    codes, category, mood, examples = [], [], [], []
-    for _line_no, cells in _table_rows():
-        codes.append(cells[0])
-        category.append(cells[_CATEGORY])
-        mood.append(_DEFAULTS["mood"] if cells[_MOOD] == "-" else cells[_MOOD])
-        examples.append(() if cells[_EXAMPLES] == "-" else tuple(cells[_EXAMPLES].split(",")))
-    if len(codes) != REGISTRY_SIZE:
-        raise RegistryError(f"embedded table has {len(codes)} entries, expected {REGISTRY_SIZE}")
-    index = {code: i for i, code in enumerate(codes)}
-    if len(index) != len(codes):
-        raise RegistryError("duplicate tag codes in embedded table")
-    return TableColumns(tuple(codes), index, tuple(category), tuple(mood), tuple(examples))
 
 
 def _parse_row(line_no: int, cells: list[str], examples: tuple[str, ...]) -> RegistryEntry:
@@ -311,21 +247,6 @@ def load_registry() -> Registry:
         _parse_row(line_no, cells, examples)
         for (line_no, cells), examples in zip(_table_rows(), columns.examples)
     ))
-
-
-# code -> the one shared Tag; filled only after `Tag` has validated the
-# code, so it never holds more than the registry's codes.
-_TAGS: dict[str, Tag] = {}
-
-
-def parse_tag(code: str) -> Tag:
-    """Return the registry tag for `code`, the same object on every call;
-    raise UnknownTag otherwise."""
-    tag = _TAGS.get(code)
-    if tag is None:
-        # setdefault keeps one object per code when two threads race here
-        tag = _TAGS.setdefault(code, Tag(code))
-    return tag
 
 
 def decompose(tag: Tag) -> FeatureBundle:

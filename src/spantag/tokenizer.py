@@ -13,46 +13,24 @@ All functions are pure; tokenization is deterministic and total.
 from __future__ import annotations
 
 import re
-import unicodedata
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+# `Token` and the kinds are shared with the corpus reader; `tokenizer.X`
+# is `_core.X` for each of these names
+from ._core import (
+    KIND_ABBREVIATION, KIND_CODE, KIND_ENCLITIC_PART, KIND_NUMBER, KIND_PORTMANTEAU_PART,
+    KIND_PUNCTUATION, KIND_WORD, Tag, Token, _is_punct_char, parse_tag, table_columns,
+)
 from .errors import TaggingError, content_lines, parse_file
-from .tagset import Tag, parse_tag, table_columns
 
 if TYPE_CHECKING:
     from .lexicon import Lexicon
 
-KIND_WORD = "word"
-KIND_PUNCTUATION = "punctuation"
-KIND_NUMBER = "number"
-KIND_CODE = "code"
-KIND_ABBREVIATION = "abbreviation"
-KIND_PORTMANTEAU_PART = "portmanteau-part"
-KIND_ENCLITIC_PART = "enclitic-part"
-
 SENTENCE_TERMINATORS = frozenset({".", "?", "!", "...", "…"})
-
-
-@dataclass(frozen=True)
-class Token:
-    """One textword.
-
-    `span` is a (byte-start, byte-end) pair into the UTF-8 encoding of
-    the source text.  Tokens produced by splitting one orthographic word
-    share the parent's span and carry `origin` = (parent surface, part
-    index).  `candidates` is an optional tag attachment set by the
-    splitting pipeline.
-    """
-
-    surface: str
-    span: tuple[int, int]
-    kind: str
-    origin: tuple[str, int] | None = None
-    candidates: frozenset[Tag] | None = None
 
 
 @dataclass(frozen=True)
@@ -127,10 +105,6 @@ def _parse_multiwords(text: str) -> tuple[str, ...]:
             raise TaggingError(f"multiword {line!r}: {problem}", line_no)
         out.append(line)
     return tuple(out)
-
-
-def _is_punct_char(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("P", "S")
 
 
 # Kind of each `_TOKEN_RE` group but `other`, which is punctuation or a word.

@@ -59,13 +59,14 @@ except SystemExit:  # --help
     pass
 """
 
-TABLE = {"tagset", "_tagset_data"}  # the tag table and its reader
+CORE = {"_core", "_tagset_data"}  # the tag table, its reader and the token record
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """`validate` loads neither the tagger nor the lexicon; `tokenize` loads
-    neither of those, nor the rules or the corpus reader; `train` loads no
-    rules; `--help` loads only the CLI and its errors."""
+    """`train` loads the model code and the corpus reader only; `validate`
+    and `eval` load neither the tokenizer nor the feature registry;
+    `tokenize` and `tag` load no feature registry; `--help` loads only the
+    CLI and its errors."""
     files = {
         "gold.vrt": "la\tARTDFS\nmesa\tNCFS\n.\t.\n\n",
         "lexicon.tsv": "mesa\tNCFS\n",
@@ -77,13 +78,12 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     cli = {"cli", "errors"}
     commands = {
         "--help": ([], cli),
-        "tagset": ([], cli | TABLE),
-        "tokenize": (["input.txt"], cli | TABLE | {"tokenizer"}),
-        "validate": (["gold.vrt"], cli | TABLE | {"tokenizer", "corpus_io"}),
+        "tagset": ([], cli | CORE | {"tagset"}),
+        "tokenize": (["input.txt"], cli | CORE | {"tokenizer"}),
+        "validate": (["gold.vrt"], cli | CORE | {"corpus_io"}),
         "train": (["--corpus", "gold.vrt", "--model", "toy.model"],
-                  cli | TABLE | {"tokenizer", "corpus_io", "lexicon", "tagger"}),
-        "eval": (["--gold", "gold.vrt", "--pred", "gold.vrt"],
-                 cli | TABLE | {"tokenizer", "corpus_io"}),
+                  cli | CORE | {"corpus_io", "_model"}),
+        "eval": (["--gold", "gold.vrt", "--pred", "gold.vrt"], cli | CORE | {"corpus_io"}),
     }
     for command, (args, expected) in commands.items():
         assert loaded_modules(CLI, command, *args, cwd=tmp_path) == expected, command
@@ -97,14 +97,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert loaded_modules(
         CLI, "tag", "input.txt", "--model", "toy.model", "--lexicon", "lexicon.tsv",
         "--rules", "rules.txt", cwd=tmp_path,
-    ) == cli | TABLE | MODULES
+    ) == cli | CORE | {"_model"} | MODULES - {"tagset"}
 
 
 def test_importing_the_package_loads_no_submodule():
     assert loaded_modules("import sys, spantag") == set()
     # a name loads its own module and what that module imports, no more
     assert loaded_modules("import sys, spantag; spantag.Lexicon") == {
-        "lexicon", "errors", "tagset", "_tagset_data"}
+        "lexicon", "errors", "_core", "_tagset_data"}
 
 
 def test_public_names_are_the_modules_objects():
@@ -121,6 +121,33 @@ def test_public_names_are_the_modules_objects():
     assert spantag.tagger is sys.modules["spantag.tagger"]
     assert spantag.tagger.TaggedSentence is spantag.corpus_io.TaggedSentence
     assert spantag.TaggedSentence is spantag.corpus_io.TaggedSentence
+
+
+# The names `tagger`, `tagset` and `tokenizer` take from `_model` and `_core`.
+MODEL_NAMES = (
+    "COUNTS_MARKER", "END", "START", "UNKNOWN", "HmmModel", "load_model", "model_from_text",
+    "model_to_counts_text", "model_to_text", "save_model", "train",
+)
+TABLE_NAMES = ("REGISTRY_SIZE", "Tag", "TableColumns", "_TAGS", "parse_tag", "table_columns")
+TOKEN_NAMES = (
+    "KIND_ABBREVIATION", "KIND_CODE", "KIND_ENCLITIC_PART", "KIND_NUMBER",
+    "KIND_PORTMANTEAU_PART", "KIND_PUNCTUATION", "KIND_WORD", "Token", "_is_punct_char",
+)
+
+
+def test_moved_names_are_the_same_objects():
+    from spantag import _core, _model, corpus_io, tagger, tagset, tokenizer
+    for name in MODEL_NAMES:
+        assert getattr(tagger, name) is getattr(_model, name), name
+    for name in TABLE_NAMES:
+        assert getattr(tagset, name) is getattr(_core, name), name
+    for name in TOKEN_NAMES:
+        assert getattr(tokenizer, name) is getattr(_core, name), name
+    assert tokenizer.Token is corpus_io.Token is _core.Token
+    assert spantag.Token is spantag.tokenizer.Token and spantag.Tag is _core.Tag
+    # the layout and the unmarked mood are each held once
+    assert tagset._COLUMNS is _core._COLUMNS
+    assert tagset.FeatureBundle(category="verb").mood == _core._UNMARKED_MOOD
 
 
 def test_star_import_binds_every_public_name():
