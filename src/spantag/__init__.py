@@ -6,12 +6,19 @@ transition-bias rules, and a bigram HMM tagger whose Viterbi decoding
 honours the rules as hard constraints.
 
 Importing the package loads none of its modules: each public name
-loads its module on first use (PEP 562), so a command pays only for
-the modules it runs.
+loads the module that defines it on first use (PEP 562), so a command
+pays only for the modules it runs.
 """
 
-# Public names by the module that defines them.
+# The public submodules.
+_MODULES = ("bias", "corpus_io", "errors", "lexicon", "tagger", "tagset", "tokenizer")
+
+# Public names by the module that defines them.  `tagset` and `tokenizer`
+# re-export the `_core` names and `tagger` the `_model` ones, but reading
+# `spantag.Token` or `spantag.train` loads only the defining module.
 _EXPORTS = {
+    "_core": ("Tag", "Token", "parse_tag"),
+    "_model": ("HmmModel", "load_model", "save_model", "train"),
     "bias": ("BiasRule", "RuleSet", "TagPattern", "load_rules", "parse_rules"),
     "corpus_io": (
         "EvalReport", "TaggedSentence", "VerticalDocument", "evaluate", "format_report",
@@ -27,25 +34,21 @@ _EXPORTS = {
         "AmbiguityClass", "Lexicon", "ambiguity_report", "guess_unknown", "load_lexicon",
         "parse_lexicon", "save_lexicon", "seed_lexicon",
     ),
-    "tagger": (
-        "HmmModel", "candidates", "iter_tagged", "load_model", "save_model", "tag_text",
-        "train", "viterbi_decode",
-    ),
+    "tagger": ("candidates", "iter_tagged", "tag_text", "viterbi_decode"),
     "tagset": (
-        "FeatureBundle", "Registry", "RegistryEntry", "Tag", "compose", "decompose",
-        "export_tsv", "format_features", "list_by", "load_registry", "parse_features",
-        "parse_tag",
+        "FeatureBundle", "Registry", "RegistryEntry", "compose", "decompose", "export_tsv",
+        "format_features", "list_by", "load_registry", "parse_features",
     ),
     "tokenizer": (
-        "SplitDecision", "Token", "default_abbreviations", "merge_multiwords",
-        "sentence_split", "split_enclitics", "split_portmanteau", "tokenize",
+        "SplitDecision", "default_abbreviations", "merge_multiwords", "sentence_split",
+        "split_enclitics", "split_portmanteau", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+__all__ = sorted([*_MODULES, *_MODULE_OF])
 
 
 def _submodule(module: str):
@@ -55,7 +58,7 @@ def _submodule(module: str):
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _MODULES:
         return _submodule(name)
     module = _MODULE_OF.get(name)
     if module is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -188,17 +188,16 @@ def _flat_counts(rows: Counts) -> dict[tuple[str, str], int]:
     return {(c, o): n for c, row in rows.items() for o, n in row.items()}
 
 
-def train(corpus: list[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
+def train(corpus: Iterable[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
           corpus_name: str = "") -> HmmModel:
     """Maximum-likelihood counts with add-k smoothing.
 
     Transition rows cover the full registry plus the end pseudo-tag;
     emission rows cover the observed vocabulary plus the unknown symbol.
-    Deterministic for a given corpus and smoothing values.
+    Deterministic for a given corpus and smoothing values.  `corpus` may
+    be any iterable, such as `corpus_io.iter_vertical`'s sentences: it is
+    read once, one sentence at a time.
     """
-    if not corpus:
-        raise EmptyCorpus("training corpus is empty")
-
     codes = table_columns().index
     # each tag's transition row is made with its emission row
     trans_counts: Counts = {START: {}}
@@ -223,6 +222,8 @@ def train(corpus: list[TaggedSentence], kt: float = 0.5, ke: float = 0.1,
             prev[code] = prev.get(code, 0) + 1
             prev = trans_counts[code]
         prev[END] = prev.get(END, 0) + 1
+    if not trans_counts[START]:  # every sentence leaves START once
+        raise EmptyCorpus("training corpus is empty")
 
     return _smoothed_model(trans_counts, emit_counts, kt, ke, corpus_name)
 

@@ -10,7 +10,9 @@ Each subcommand imports only the modules it runs: `train` loads the
 model code (`_model`) and the corpus reader, never the decoder, the
 lexicon, the tokenizer or the feature registry; `validate` and `eval`
 load only the corpus reader and the tag table (`_core`); `--help` loads
-no module but this one and `errors`.
+no module but this one and `errors`.  `train` and `validate` read the
+corpus one sentence at a time, so they hold a sentence and the model or
+their reports, never the whole file.
 """
 
 from __future__ import annotations
@@ -100,14 +102,21 @@ def cmd_tokenize(args) -> int:
 
 def cmd_train(args) -> int:
     from . import _model, corpus_io
-    doc = corpus_io.read_vertical(args.corpus, strict=not args.lenient)
+    count = 0
+
+    def sentences():  # the corpus a sentence at a time, counted as it is read
+        nonlocal count
+        for count, (sentence, _stand_ins) in enumerate(
+                corpus_io.iter_vertical(args.corpus, strict=not args.lenient), start=1):
+            yield sentence
+
     model = _model.train(
-        doc.sentences, kt=args.kt, ke=args.ke,
+        sentences(), kt=args.kt, ke=args.ke,
         corpus_name=args.name or Path(args.corpus).name,
     )
     _model.save_model(model, args.model)
     sys.stdout.write(
-        f"sentences\t{len(doc.sentences)}\n"
+        f"sentences\t{count}\n"
         f"tokens\t{model.token_count}\n"
         f"vocabulary\t{len(model.vocab)}\n"
         f"tags-seen\t{len(model.tag_counts)}\n"
@@ -138,27 +147,32 @@ def cmd_tag(args) -> int:
 
 def cmd_validate(args) -> int:
     from . import corpus_io
-    doc = corpus_io.read_vertical(args.path, strict=False)
-    # loaded before anything is written, so a bad rules file leaves stdout empty
     ruleset = _load_rules(args.rules)
-    violations = 0
-    for line_no, code, _s_index, _position in doc.stand_ins:
-        print(f"line {line_no}: unknown tag {code!r}")
-        violations += 1
-    if ruleset is not None:
-        stand_ins = {(s_index, position) for _line_no, _code, s_index, position in doc.stand_ins}
-        for s_index, sentence in enumerate(doc.sentences):
-            for position, rule_id in ruleset.validate_sequence(list(sentence.tags)):
-                # the file holds no pair with a stand-in for an unknown tag
-                if {(s_index, position), (s_index, position + 1)} & stand_ins:
-                    continue
-                pair = f"{sentence.tags[position].code} {sentence.tags[position + 1].code}"
-                print(
-                    f"sentence {s_index}, token {position}: "
-                    f"pair '{pair}' violates rule at line {rule_id}"
-                )
-                violations += 1
+    # Each sentence is checked as it is read, and its reports kept until the
+    # end, so an error later in the file still leaves stdout empty.
+    unknown: list[str] = []
+    pairs: list[str] = []
+    sentences = corpus_io.iter_vertical(args.path, strict=False)
+    for s_index, (sentence, stand_ins) in enumerate(sentences):
+        for line_no, code, _position in stand_ins:
+            unknown.append(f"line {line_no}: unknown tag {code!r}\n")
+        if ruleset is None:
+            continue
+        tags = [tag for _token, tag in sentence.pairs]
+        stood_in = {position for _line_no, _code, position in stand_ins}
+        for position, rule_id in ruleset.validate_sequence(tags):
+            # the file holds no pair with a stand-in for an unknown tag
+            if position in stood_in or position + 1 in stood_in:
+                continue
+            pairs.append(
+                f"sentence {s_index}, token {position}: pair "
+                f"'{tags[position].code} {tags[position + 1].code}' "
+                f"violates rule at line {rule_id}\n"
+            )
+    sys.stdout.writelines(unknown)
+    sys.stdout.writelines(pairs)
     sys.stdout.flush()  # a closed pipe ends the run before the summary
+    violations = len(unknown) + len(pairs)
     print(
         f"spantag validate: {violations} violation(s) in {Path(args.path)}",
         file=sys.stderr,

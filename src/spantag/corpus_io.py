@@ -5,19 +5,23 @@ line after each sentence.  A ``#FALLBACK`` comment line flags the
 sentence that follows it as decoded without bias constraints; other
 ``#`` lines are ignored.  Strict reading rejects non-registry tags;
 lenient reading substitutes the unclassified tag for each of them and
-records where each stand-in sits.
+records where each stand-in sits.  `iter_vertical` reads a file one
+sentence at a time; `read_vertical` and `parse_vertical` collect the
+same sentences into a `VerticalDocument`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._core import KIND_PUNCTUATION, KIND_WORD, Tag, Token, _is_punct_char, parse_tag
-from .errors import AlignmentError, UnknownTag, VerticalFormatError, parse_file, split_lines
+from .errors import (
+    AlignmentError, TaggingError, UnknownTag, VerticalFormatError, file_lines, split_lines,
+)
 
 if TYPE_CHECKING:
     from .lexicon import Lexicon
@@ -73,25 +77,24 @@ def punctuationish(surface: str) -> bool:
     return bool(surface) and all(_is_punct_char(c) for c in surface)
 
 
-def parse_vertical(text: str, strict: bool = True) -> VerticalDocument:
-    sentences: list[TaggedSentence] = []
+StandIn = tuple[int, str, int]  # (line number, offending tag code, token index)
+ReadSentence = tuple[TaggedSentence, tuple[StandIn, ...]]  # a sentence and its stand-ins
+
+
+def _sentences(lines: Iterable[tuple[int, str]], strict: bool) -> Iterator[ReadSentence]:
+    """The vertical parser: each sentence of ``(line number, line)`` pairs
+    as soon as its last line is read, with its stand-ins."""
     pairs: list[tuple[Token, Tag]] = []
-    stand_ins: list[tuple[int, str, int, int]] = []
+    stand_ins: list[StandIn] = []
     fallback = False
     # One Token per distinct surface: every vertical token has the same
     # span, so equal surfaces give equal tokens anyway.
     tokens: dict[str, Token] = {}
-
-    def close_sentence():
-        nonlocal pairs, fallback
-        if pairs:  # a mark before a blank line flags the sentence after it
-            sentences.append(TaggedSentence(pairs=tuple(pairs), fallback=fallback))
-            pairs = []
-            fallback = False
-
-    for line_no, raw in enumerate(split_lines(text), start=1):
+    for line_no, raw in lines:
         if not raw.strip():
-            close_sentence()
+            if pairs:  # a mark before a blank line flags the sentence after it
+                yield TaggedSentence(pairs=tuple(pairs), fallback=fallback), tuple(stand_ins)
+                pairs, stand_ins, fallback = [], [], False
             continue
         if raw.strip() == FALLBACK_MARK:
             fallback = True
@@ -109,18 +112,48 @@ def parse_vertical(text: str, strict: bool = True) -> VerticalDocument:
         except UnknownTag:
             if strict:
                 raise UnknownTag(code, line_no) from None
-            stand_ins.append((line_no, code, len(sentences), len(pairs)))
+            stand_ins.append((line_no, code, len(pairs)))
             tag = parse_tag("PNC")
         token = tokens.get(surface)
         if token is None:
             token = tokens[surface] = _token_for(surface)
         pairs.append((token, tag))
-    close_sentence()
-    return VerticalDocument(sentences=sentences, stand_ins=tuple(stand_ins))
+    if pairs:
+        yield TaggedSentence(pairs=tuple(pairs), fallback=fallback), tuple(stand_ins)
+
+
+def iter_vertical(path: str | Path, strict: bool = True) -> Iterator[ReadSentence]:
+    """Each sentence of a vertical file, as soon as it is read, with the
+    ``(line number, offending tag code, token index)`` of each stand-in
+    that lenient reading put in it.  The file is read a chunk at a time
+    (`errors.file_lines`), so the memory held is one sentence and the
+    distinct surfaces, not the file.  Errors are those of `read_vertical`,
+    raised when the reading reaches them."""
+    path = Path(path)
+    try:
+        yield from _sentences(file_lines(path), strict)
+    except TaggingError as exc:
+        if exc.line is not None:  # a bad line; the UTF-8 error names the file itself
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _document(sentences: Iterable[ReadSentence]) -> VerticalDocument:
+    kept: list[TaggedSentence] = []
+    stand_ins: list[tuple[int, str, int, int]] = []
+    for s_index, (sentence, marks) in enumerate(sentences):
+        kept.append(sentence)
+        if marks:
+            stand_ins.extend((line_no, code, s_index, position) for line_no, code, position in marks)
+    return VerticalDocument(sentences=kept, stand_ins=tuple(stand_ins))
+
+
+def parse_vertical(text: str, strict: bool = True) -> VerticalDocument:
+    return _document(_sentences(enumerate(split_lines(text), start=1), strict))
 
 
 def read_vertical(path: str | Path, strict: bool = True) -> VerticalDocument:
-    return parse_file(Path(path), lambda text: parse_vertical(text, strict=strict))
+    return _document(iter_vertical(path, strict))
 
 
 def format_vertical(doc: VerticalDocument) -> str:

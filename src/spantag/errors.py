@@ -5,15 +5,19 @@ line-oriented input file.
 name in front of the errors its parser raises.  Parsers cut the text
 with `split_lines`, where only ``\\n`` (or ``\\r\\n``) ends a line, and the
 formats with comments skip what `content_lines` skips: blank lines and
-lines led by ``#``.  An error about one line keeps its 1-based number as
+lines led by ``#``.  `file_lines` gives a file's lines by the same rule
+one at a time, reading and decoding it in chunks, for the readers that
+stream a file.  An error about one line keeps its 1-based number as
 ``.line``, and `TaggingError` alone writes it into the message, so every
 report reads ``<file>: line N: <message>``.
 """
 
 from __future__ import annotations
 
+import codecs
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -104,8 +108,17 @@ def decode_utf8(data: bytes, name: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise TaggingError(f"{name} is not valid UTF-8 at line {line}: {exc}") from None
+        raise _not_utf8(name, data.count(b"\n", 0, exc.start) + 1, exc, 0) from None
+
+
+def _not_utf8(name: str, line: int, exc: UnicodeDecodeError, offset: int) -> TaggingError:
+    """The error for `exc`, raised on bytes that start at byte `offset` of
+    the input, with its byte positions counted from the input's start."""
+    head, at, tail = str(exc).partition(" in position ")
+    positions, colon, reason = tail.partition(":")
+    positions = "-".join(str(int(p) + offset) for p in positions.split("-"))
+    detail = f"{head}{at}{positions}{colon}{reason}"
+    return TaggingError(f"{name} is not valid UTF-8 at line {line}: {detail}")
 
 
 def read_utf8(path: str | Path) -> str:
@@ -122,6 +135,55 @@ def split_lines(text: str) -> list[str]:
     `decode_utf8` and unlike `str.splitlines`; a final ``\\n`` is
     followed by one last, empty line."""
     return text.replace("\r\n", "\n").split("\n")
+
+
+_CHUNK_BYTES = 1 << 14  # what `file_lines` reads and decodes at a time
+
+
+def file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of a file, cut as `split_lines`
+    cuts its text, read and decoded as strict UTF-8 a chunk at a time: the
+    memory it holds is a chunk and the line that runs past it, whatever the
+    file's size.  A byte that is not UTF-8 raises the TaggingError that
+    `read_utf8` raises for the whole file, once the lines before it have
+    been given, so a fault in an earlier line is met first at any chunk
+    size."""
+    # Each chunk's lines are numbered and chained in C: yielding them one by
+    # one from a generator cost 0.2 ms of the 7.5 ms that reading the 7.7k
+    # lines of the news-stream gold takes (2 vCPUs, CPython 3.11).
+    return chain.from_iterable(_numbered_chunks(path))
+
+
+def _numbered_chunks(path: str | Path) -> Iterator[Iterable[tuple[int, str]]]:
+    """The numbered lines of `file_lines`, one iterable per chunk."""
+    name = str(path)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line_no = read = 0
+    rest: list[str] = []  # the text of the line not yet ended
+    with open(path, "rb") as file:
+        while True:
+            chunk = file.read(_CHUNK_BYTES)
+            read += len(chunk)
+            error = None
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # `exc.object` is the chunk after the bytes the decoder held back
+                error, offset = exc, read - len(exc.object)
+                text = exc.object[:exc.start].decode("utf-8")
+            if "\n" in text:
+                # a "\r\n" split across chunks meets again in the joined text
+                lines = split_lines("".join([*rest, text]))
+                rest = [lines.pop()]
+                yield enumerate(lines, start=line_no + 1)
+                line_no += len(lines)
+            else:
+                rest.append(text)
+            if error is not None:
+                raise _not_utf8(name, line_no + 1, error, offset)
+            if not chunk:
+                yield ((line_no + 1, "".join(rest)),)
+                return
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -290,6 +290,25 @@ def test_validate_checks_no_pair_with_a_stand_in(tmp_path, capsys, second, want)
     assert "1 violation(s)" in captured.err
 
 
+@pytest.mark.parametrize("last, error", [
+    (b"mesa NCFS\n", ": line 15001: expected exactly one tab per line"),
+    (b"\xff\tNCFS\n", " is not valid UTF-8 at line 15001: 'utf-8' codec can't decode byte 0xff "
+                      "in position 99000: invalid start byte"),
+], ids=["malformed", "not-utf8"])
+@pytest.mark.parametrize("rules", [False, True], ids=["plain", "rules"])
+def test_validate_writes_nothing_before_a_late_error(tmp_path, capsys, last, error, rules):
+    """Sentences whose reports fill many chunks, then a bad last line: exit
+    2 with nothing on stdout, as when the file was read whole first."""
+    path, rules_file = tmp_path / "in.vrt", tmp_path / "rules.txt"
+    rules_file.write_text("FORBID ARTDFS NCMP\n", encoding="utf-8")
+    path.write_bytes(b"la\tARTDFS\ncasas\tNCMP\nx\tNCFZ\n.\t.\n\n" * 3000 + last)
+    argv = ["validate", str(path)] + (["--rules", str(rules_file)] if rules else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spantag: {path}{error}\n"
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "/nonexistent/nothing.vrt"]) == 2
     assert capsys.readouterr().err.startswith("spantag:")

@@ -1,8 +1,11 @@
 """One way to read an input line and report a bad one, for every loader:
 the error type, its ``.line``, the CLI message, and what a line is."""
 
+import random
+
 import pytest
 
+from spantag import errors
 from spantag.bias import load_rules
 from spantag.cli import main
 from spantag.corpus_io import read_vertical
@@ -14,6 +17,9 @@ from spantag.errors import (
     TaggingError,
     UnknownTag,
     VerticalFormatError,
+    decode_utf8,
+    file_lines,
+    split_lines,
 )
 from spantag.lexicon import load_lexicon
 from spantag.tagger import load_model, model_to_counts_text, model_to_text, train
@@ -184,3 +190,76 @@ def test_crlf_files_give_the_same_output(tmp_path, capsys, writer):
     assert outputs[0][0] == 0 and outputs[0][2] == 1
     assert "line 3: unknown tag 'NCFZ'" in outputs[0][3]
     assert "violates rule at line 2" in outputs[0][3]
+
+
+# ------------------------------------------------------ a file read in chunks
+
+CHUNK_SIZES = [1, 2, 3, 7, errors._CHUNK_BYTES]
+PIECES = ["la", "mesa\tNCFS", " ", "\n", "\n\n", "\r\n", "\r", "\r\r\n", "é", "€", "𝄞",
+          *NOT_LINE_ENDS]
+
+
+def seeded_texts(seed: int, count: int = 60) -> list[str]:
+    """Texts of line ends, lone CRs, the characters that end no line and
+    characters of two to four bytes, with or without a final newline."""
+    rng = random.Random(seed)
+    return ["", "\n", "\r", "\r\n", "\r\r\n", "la\r", *(
+        "".join(rng.choice(PIECES) for _ in range(rng.randrange(1, 40))) for _ in range(count)
+    )]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_file_lines_cuts_as_split_lines_at_any_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "text.txt"
+    for seed in (1, 2):
+        for text in seeded_texts(seed):
+            if chunk == errors._CHUNK_BYTES:  # long enough to cross a default chunk
+                text *= chunk // max(len(text), 1) + 2
+            path.write_bytes(text.encode("utf-8"))
+            assert list(file_lines(path)) == list(enumerate(split_lines(text), start=1)), text
+
+
+# Bytes no UTF-8 text holds here: a stray or invalid lead byte, a sequence cut
+# short by ASCII, a bad second byte, an encoded surrogate, a lone lead at the end.
+BAD_BYTES = [b"\xff", b"\x80", b"\xe2\x82", b"\xf0\x80\x80", b"\xed\xa0\x80", b"\xc3"]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_file_lines_reports_a_bad_byte_as_the_whole_file_does(tmp_path, monkeypatch, chunk):
+    """At and around each chunk boundary, and at the end, a bad byte gives
+    the message, line and byte position `decode_utf8` gives for the whole
+    file, after the lines before its own."""
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    unit = "la\r\nmesa é€𝄞\n".encode("utf-8")
+    good = unit * (3 * chunk // len(unit) + 2)
+    places = {k * chunk + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)} | {0, len(good)}
+    path = tmp_path / "bad.txt"
+    for bad in BAD_BYTES:
+        for at in sorted(p for p in places if 0 <= p <= len(good)):
+            data = good[:at] + bad + good[at:]
+            with pytest.raises(TaggingError) as whole:
+                decode_utf8(data, str(path))
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = split_lines(data[:exc.start].decode("utf-8"))[:-1]
+            path.write_bytes(data)
+            read = []
+            with pytest.raises(TaggingError) as streamed:
+                read.extend(file_lines(path))
+            assert str(streamed.value) == str(whole.value), (bad, at)
+            assert read == list(enumerate(before, start=1)), (bad, at)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_a_bad_line_before_a_bad_byte_is_reported_first(tmp_path, monkeypatch, chunk):
+    """A vertical file is parsed as it is decoded, so of a bad line and a
+    later bad byte the line is reported, whatever the chunk size."""
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "gold.vrt"
+    path.write_bytes(b"la\tARTDFS\nmesa NCFS\n.\t.\n\n\xff\tNCFS\n")
+    with pytest.raises(VerticalFormatError) as err:
+        read_vertical(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"{path}: line 2: expected exactly one tab per line"

@@ -107,6 +107,19 @@ def test_importing_the_package_loads_no_submodule():
         "lexicon", "errors", "_core", "_tagset_data"}
 
 
+@pytest.mark.parametrize("name, public", [
+    ("Token", "tokenizer"), ("Tag", "tagset"), ("parse_tag", "tagset"),
+    ("train", "tagger"), ("HmmModel", "tagger"), ("load_model", "tagger"),
+    ("save_model", "tagger"),
+])
+def test_a_re_exported_name_loads_only_its_defining_module(name, public):
+    """`spantag.Token` loads `_core`, not the tokenizer that re-exports it;
+    `spantag.train` loads `_model`, not the decoder."""
+    loaded = loaded_modules(f"import sys, spantag; spantag.{name}")
+    assert public not in loaded
+    assert loaded == CORE | {"errors"} | ({"_model"} if public == "tagger" else set())
+
+
 def test_public_names_are_the_modules_objects():
     assert spantag.__all__ == PUBLIC_NAMES
     assert set(dir(spantag)) >= set(PUBLIC_NAMES)

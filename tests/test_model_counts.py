@@ -72,6 +72,16 @@ def test_counts_round_trip_is_exact(toy_corpus, tmp_path, seed):
     assert_same_model(load_model(path), model)
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_train_reads_any_iterable_as_its_list(toy_corpus, seed):
+    corpus = toy_corpus if seed is None else random_corpus(random.Random(seed))
+    model = train(corpus, kt=0.3, ke=0.07, corpus_name="toy")
+    for sentences in (iter(corpus), (s for s in corpus), tuple(corpus)):
+        streamed = train(sentences, kt=0.3, ke=0.07, corpus_name="toy")
+        assert_same_model(streamed, model)
+        assert model_to_counts_text(streamed) == model_to_counts_text(model)
+
+
 def test_saved_model_holds_one_row_per_seen_pair(tmp_path):
     model = train(random_corpus(random.Random(4)))
     path = tmp_path / "m.model"

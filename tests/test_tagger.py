@@ -67,6 +67,14 @@ def test_empty_corpus_rejected():
         train([])
 
 
+@pytest.mark.parametrize("corpus", [iter([]), (s for s in ())], ids=["iter", "generator"])
+def test_empty_iterable_rejected(corpus):
+    """An iterable that yields nothing is refused as an empty list is, not
+    trained into a model that `load_model` would refuse."""
+    with pytest.raises(EmptyCorpus):
+        train(corpus)
+
+
 def test_smoothed_rows_normalize(toy_corpus):
     model = train(toy_corpus)
     n = len(load_registry())
