@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -128,7 +128,7 @@ KIND_PORTMANTEAU_PART = "portmanteau-part"
 KIND_ENCLITIC_PART = "enclitic-part"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One textword.
 
@@ -137,6 +137,9 @@ class Token:
     share the parent's span and carry `origin` = (parent surface, part
     index).  `candidates` is an optional tag attachment set by the
     splitting pipeline.
+
+    A token has slots and no `__dict__`, so `vars(token)` raises; read
+    the fields, or `dataclasses.asdict`.
     """
 
     surface: str
@@ -144,6 +147,39 @@ class Token:
     kind: str
     origin: tuple[str, int] | None = None
     candidates: frozenset[Tag] | None = None
+
+    # The generated frozen `__init__` sets each field through
+    # `object.__setattr__`; writing the slots through their descriptors
+    # costs about half as much, and one is made per textword.
+    def __init__(self, surface: str, span: tuple[int, int], kind: str,
+                 origin: tuple[str, int] | None = None,
+                 candidates: frozenset[Tag] | None = None):
+        _set_surface(self, surface)
+        _set_span(self, span)
+        _set_kind(self, kind)
+        _set_origin(self, origin)
+        _set_candidates(self, candidates)
+
+
+# `slots=True` makes a new class, so the slot descriptors are read from it
+_set_surface, _set_span, _set_kind, _set_origin, _set_candidates = (
+    Token.__dict__[name].__set__ for name in Token.__slots__
+)
+
+
+# The frozen `__setattr__` and `__delattr__` that `slots=True` carries over
+# still name the class it replaced, so for a name that is no field they
+# raise TypeError from `super()` (CPython 3.10-3.13).  These raise
+# FrozenInstanceError for every name, as the class without slots did.
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Token.__setattr__, Token.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 def _is_punct_char(ch: str) -> bool:

@@ -304,15 +304,19 @@ def model_to_text(model: HmmModel) -> str:
     rows are ``key<TAB>value`` and carry the smoothing constants plus the
     sparse per-tag training counts needed to rebuild tag priors.
     """
+    return "".join(_v1_blocks(model))
+
+
+def _v1_blocks(model: HmmModel) -> Iterator[str]:
+    """`model_to_text` as blocks of whole lines: a section header, a
+    context's rows, then META."""
     order = _registry_order()
-    lines = []
     for section, rows in (("TRANSITIONS", model.transitions), ("EMISSIONS", model.emissions)):
-        lines.append(section)
+        yield section + "\n"
         for context in sorted(rows, key=order.__getitem__):
-            for outcome, prob in rows[context].items():
-                lines.append(f"{context}\t{outcome}\t{math.log10(prob)!r}")
-    lines += _meta_lines(model, order)
-    return "\n".join(lines) + "\n"
+            yield "".join([f"{context}\t{outcome}\t{math.log10(prob)!r}\n"
+                           for outcome, prob in rows[context].items()])
+    yield "\n".join(_meta_lines(model, order)) + "\n"
 
 
 def model_to_counts_text(model: HmmModel) -> str:
@@ -324,27 +328,35 @@ def model_to_counts_text(model: HmmModel) -> str:
     in `model_to_text`.  Unseen outcomes are implied by add-k smoothing,
     which the loader redoes exactly as `train` does.
     """
+    return "".join(_counts_blocks(model))
+
+
+def _counts_blocks(model: HmmModel) -> Iterator[str]:
+    """`model_to_counts_text` as blocks of whole lines: the marker, a
+    section header, a context's rows, then META."""
     order = _registry_order()
-    lines = [COUNTS_MARKER]
+    yield COUNTS_MARKER + "\n"
     for section, rows, outcome_key in (
         ("TRANSITIONS", model._transition_counts, order.__getitem__),
         ("EMISSIONS", model._emission_counts, None),
     ):
-        lines.append(section)
+        yield section + "\n"
         for context in sorted(rows, key=order.__getitem__):
             row = rows[context]
-            lines += [f"{context}\t{outcome}\t{row[outcome]}"
-                      for outcome in sorted(row, key=outcome_key)]
-    lines += _meta_lines(model, order)
-    return "\n".join(lines) + "\n"
+            yield "".join([f"{context}\t{outcome}\t{row[outcome]}\n"
+                           for outcome in sorted(row, key=outcome_key)])
+    yield "\n".join(_meta_lines(model, order)) + "\n"
 
 
 def save_model(model: HmmModel, path: str | Path):
     """Write a counts file, or v1 probability rows for a model that has
     no counts (one loaded from a v1 file or built from rows)."""
-    text = model_to_counts_text(model) if model._transition_counts else model_to_text(model)
-    # encoded before the file is opened, so a failure leaves it untouched
-    Path(path).write_bytes(text.encode("utf-8"))
+    blocks = _counts_blocks(model) if model._transition_counts else _v1_blocks(model)
+    # Encoded a block at a time, so the whole text is never held as a str
+    # beside its bytes; encoded before the file is opened, so a failure
+    # leaves it untouched.
+    data = b"".join([block.encode("utf-8") for block in blocks])
+    Path(path).write_bytes(data)
 
 
 def _count(text: str, least: int = 0) -> int:

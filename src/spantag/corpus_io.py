@@ -163,9 +163,13 @@ def format_vertical(doc: VerticalDocument) -> str:
 
 def format_sentence(sentence: TaggedSentence) -> str:
     """One sentence's block of `format_vertical`, blank line included."""
-    lines = [FALLBACK_MARK] if sentence.fallback else []
-    lines.extend(f"{token.surface}\t{tag.code}" for token, tag in sentence.pairs)
-    return "\n".join(lines) + "\n\n"
+    # Joined from the surfaces and codes themselves, the block is the one
+    # string made: a string per line would cost more than the block.
+    parts = [FALLBACK_MARK, "\n"] if sentence.fallback else []
+    for token, tag in sentence.pairs:
+        parts += token.surface, "\t", tag.code, "\n"
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_vertical(doc: VerticalDocument, path: str | Path):

@@ -92,9 +92,20 @@ def emission_scores(
     return [_emission_row(model, token.surface, cls) for token, cls in sentence]
 
 
-def _emission_row(model: HmmModel, surface: str, cls: AmbiguityClass) -> dict[str, float]:
-    tags = cls.sorted_tags()
+def _emission_row(
+    model: HmmModel, surface: str, cls: AmbiguityClass,
+    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None = None,
+) -> dict[str, float]:
+    """One token's emission row.  An unknown wordform's row depends on its
+    class alone, so with `unknown_rows` the wordforms of one class share
+    the row kept there."""
     form = model.emission_form(surface)
+    if form is None and unknown_rows is not None:
+        row = unknown_rows.get(cls)
+        if row is None:
+            row = unknown_rows[cls] = _emission_row(model, surface, cls)
+        return row
+    tags = cls.sorted_tags()
     row = {}
     if form is not None:
         for t in tags:
@@ -147,19 +158,22 @@ def _decode(
     # `live` holds the previous layer's states that some allowed path
     # reaches, in the lexicographic registry order of their best paths.
     # Each is (its rank in that order, path score, banned next codes, its
-    # transition row as unseen and seen, its index in its layer, and the
-    # live state it came from).  A path's rank follows from (predecessor's
-    # rank, registry index), so scanning predecessors in rank order and
-    # keeping only strictly better scores picks, among equal scores, the
-    # lexicographically smallest prefix without storing prefixes.  Each
-    # edge adds log10 of its transition probability, the float
-    # `transition_logp` returns.
-    live = [(0, 0.0, (), *transitions.get(START, uniform), 0, None)]
+    # transition row as unseen and seen, and its back-pointer).  A path's
+    # rank follows from (predecessor's rank, registry index), so scanning
+    # predecessors in rank order and keeping only strictly better scores
+    # picks, among equal scores, the lexicographically smallest prefix
+    # without storing prefixes.  Each edge adds log10 of its transition
+    # probability, the float `transition_logp` returns.
+    #
+    # A back-pointer is (index in its layer, predecessor's back-pointer):
+    # all that outlives a layer, so a long sentence keeps one pair per
+    # reached state rather than its score and rows.
+    live = [(0, 0.0, (), *transitions.get(START, uniform), None)]
     for i, emits in enumerate([*emission_rows, {END: 0.0}]):
         reached = []
         for k, (t, emit_lp) in enumerate(emits.items()):
             best_score = best_r = None
-            for r, prev_score, bans, unseen, seen, _k, _came_from in live:
+            for r, prev_score, bans, unseen, seen, _back in live:
                 if t in bans:
                     continue
                 score = prev_score + log10(seen.get(t, unseen)) + emit_lp
@@ -173,14 +187,14 @@ def _decode(
         came_from, live = live, []
         for r, (best_r, k, t, score) in enumerate(reached):
             unseen, seen = transitions.get(t, uniform)
-            live.append((r, score, banned.get(t, ()), unseen, seen, k, came_from[best_r]))
+            live.append((r, score, banned.get(t, ()), unseen, seen, (k, came_from[best_r][-1])))
 
-    # Follow the chain from END's one state back to the first token.
+    # Follow the back-pointers from END's one state back to the first token.
     path = []
-    state = live[0][-1]
+    back = live[0][-1][1]
     for _tok, cls in reversed(sentence):
-        path.append(cls.sorted_tags()[state[-2]])
-        state = state[-1]
+        k, back = back
+        path.append(cls.sorted_tags()[k])
     path.reverse()
     return path, live[0][1]
 
@@ -194,7 +208,7 @@ def prepare_sentence(
     enclitic_split: bool = True,
 ) -> list[tuple[tok.Token, AmbiguityClass]]:
     """Resolve splits and attach candidate sets for one sentence."""
-    return _prepare(sentence_tokens, model, lexicon, enclitic_split, {})
+    return _prepare(sentence_tokens, model, lexicon, enclitic_split, {}, None)[0]
 
 
 def _prepare(
@@ -203,45 +217,64 @@ def _prepare(
     lexicon: Lexicon,
     enclitic_split: bool,
     types: dict[tuple[str, str, bool], tuple],
-) -> list[tuple[tok.Token, AmbiguityClass]]:
-    """`prepare_sentence`, remembering in `types` what each tokenizer token
-    (one without candidates) resolved to, keyed by (surface, kind,
-    sentence initial): the split decision or None, and the candidate
-    classes.  The parts themselves are built per token, since their spans
-    differ."""
+    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None,
+) -> tuple[list[tuple[tok.Token, AmbiguityClass]], list[dict[str, float] | None]]:
+    """`prepare_sentence`, and unless `unknown_rows` is None each prepared
+    token's emission row (None if it is), unknown wordforms' rows shared by
+    class through it.  `types` remembers what each tokenizer token (one
+    without candidates) resolved to, keyed by (surface, kind, sentence
+    initial): the entry `_resolve` returns.  The parts of a split are
+    built per token, since their spans differ."""
     # By position, not identity: one Token object may occur twice.
     first_wordish = next(
         (i for i, t in enumerate(sentence_tokens) if t.kind != tok.KIND_PUNCTUATION), None
     )
     prepared: list[tuple[tok.Token, AmbiguityClass]] = []
+    emits: list[dict[str, float] | None] = []
     for i, token in enumerate(sentence_tokens):
-        initial = i == first_wordish
-        key = (token.surface, token.kind, initial)
-        resolved = types.get(key) if token.candidates is None else None
-        if resolved is None:
-            resolved = _resolve(token, model, lexicon, enclitic_split, initial)
-            if token.candidates is None:
-                types[key] = resolved
-        decision, classes = resolved
-        parts = [token] if decision is None else tok.expand_token(token, decision)
-        prepared.extend(zip(parts, classes))
-    return prepared
+        if token.candidates is None:
+            key = (token.surface, token.kind, i == first_wordish)
+            entry = types.get(key)
+            if entry is None:
+                entry = types[key] = _resolve(
+                    token, model, lexicon, enclitic_split, key[2], unknown_rows)
+        else:
+            entry = _resolve(token, model, lexicon, enclitic_split, i == first_wordish,
+                             unknown_rows)
+        decision, cls, row = entry
+        if decision is None:
+            prepared.append((token, cls))
+            emits.append(row)
+        else:
+            prepared += zip(tok.expand_token(token, decision), cls)
+            emits += row
+    return prepared, emits
 
 
 def _resolve(
-    token: tok.Token, model: HmmModel, lexicon: Lexicon, enclitic_split: bool, initial: bool
-) -> tuple[tok.SplitDecision | None, tuple[AmbiguityClass, ...]]:
-    """(split decision or None, candidate class per part); the decision
-    carries the parts' kind."""
+    token: tok.Token, model: HmmModel, lexicon: Lexicon, enclitic_split: bool, initial: bool,
+    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None,
+) -> tuple:
+    """(None, candidate class, emission row) for a token kept whole, or
+    (split decision, class per part, emission row per part); the decision
+    carries the parts' kind.  Rows are None if `unknown_rows` is."""
     decision = None
     if token.kind == tok.KIND_WORD:
         decision = tok.split_portmanteau(token)
         if decision is None and enclitic_split:
             decision = tok.split_enclitics(token, lexicon)
     if decision is None:
-        return None, (candidates(model, lexicon, token, sentence_initial=initial),)
+        cls = candidates(model, lexicon, token, sentence_initial=initial)
+        row = None if unknown_rows is None else _emission_row(
+            model, token.surface, cls, unknown_rows)
+        return None, cls, row
     # split parts carry their candidates (see `candidates`)
-    return decision, tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
+    classes = tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
+    rows = tuple(
+        None if unknown_rows is None else _emission_row(model, surface, cls, unknown_rows)
+        for (surface, _tags), cls in zip(decision.parts, classes)
+    )
+    return decision, classes, rows
 
 
 def tag_text(
@@ -273,22 +306,19 @@ def iter_tagged(
     sentence as soon as it is decoded.
 
     Sentences whose constrained decoding is infeasible fall back to
-    unconstrained decoding and come back flagged.  Each word type's
-    split, candidates and emission scores are worked out once per call
-    and kept until the generator is done, so besides the text it holds
-    one sentence and memory that grows with the number of distinct types.
+    unconstrained decoding and come back flagged.  One cache, keyed by
+    (surface, kind, sentence initial), holds each word type's split
+    decision, candidate classes and emission rows from its first
+    occurrence until the generator is done; a later occurrence costs one
+    lookup.  Unknown wordforms of one candidate class share one emission
+    row.  So besides the text it holds one sentence and memory that grows
+    with the number of distinct types.
     """
     types: dict[tuple[str, str, bool], tuple] = {}
-    rows: dict[tuple[str, frozenset[Tag]], dict[str, float]] = {}
+    unknown_rows: dict[AmbiguityClass, dict[str, float]] = {}
     for sentence_tokens in tok.iter_sentences(text, abbreviations, multiwords):
-        prep = _prepare(sentence_tokens, model, lexicon, enclitic_split, types)
-        emits = []
-        for token, cls in prep:
-            key = (token.surface, cls.tags)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = _emission_row(model, token.surface, cls)
-            emits.append(row)
+        prep, emits = _prepare(sentence_tokens, model, lexicon, enclitic_split, types,
+                               unknown_rows)
         try:
             tags, _score = _decode(model, ruleset, prep, emits)
             fallback = False
@@ -298,7 +328,8 @@ def iter_tagged(
         # Built from a list, the tuple is made at its final size; `tuple()`
         # of a generator grows it instead, and CPython's free lists then keep
         # the spent tuples, which tracemalloc saw growing with the input.
-        yield TaggedSentence(
-            pairs=tuple([(token, tag) for (token, _cls), tag in zip(prep, tags)]),
-            fallback=fallback,
-        )
+        pairs = tuple([(token, tag) for (token, _cls), tag in zip(prep, tags)])
+        # The sentence's working lists go before the caller gets it, so
+        # they are not held while it is formatted.
+        del sentence_tokens, prep, emits, tags
+        yield TaggedSentence(pairs=pairs, fallback=fallback)
