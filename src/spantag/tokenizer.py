@@ -44,12 +44,18 @@ class SplitDecision:
     kind: str
 
 
+# The alternatives share their leading run, so each letter or digit run is
+# matched once and what follows it decides the kind: one attempt per token.
+# A code is a letter run followed by a digit, or a digit run followed by a
+# letter, with any `\w` after that; otherwise a letter run is a word with
+# its hyphen parts, and a digit run a number with its decimal and range
+# tail.  `m.lastgroup` names the kind, since `wcode` and `ncode` close
+# after `word` and `number`.
 _TOKEN_RE = re.compile(
-    r"(?P<ellipsis>\.\.\.)"
-    r"|(?P<code>(?:[^\W\d_]+\d|\d+[^\W\d_])\w*)"
-    r"|(?P<number>\d+(?:[.,]\d+)*(?:-\d+(?:[.,]\d+)*)?)"
-    r"|(?P<word>[^\W\d_]+(?:-[^\W\d_]+)*)"
-    r"|(?P<other>\S)"
+    r"(?P<word>[^\W\d_]+)(?:(?P<wcode>\d\w*)|(?:-[^\W\d_]+)*)"
+    r"|(?P<number>\d+)(?:(?P<ncode>[^\W\d_]\w*)|(?:[.,]\d+)*(?:-\d+(?:[.,]\d+)*)?)"
+    r"|(?P<ellipsis>\.\.\.)"
+    r"|\S"
 )
 
 
@@ -107,9 +113,10 @@ def _parse_multiwords(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-# Kind of each `_TOKEN_RE` group but `other`, which is punctuation or a word.
-_GROUP_KINDS = {"ellipsis": KIND_PUNCTUATION, "code": KIND_CODE,
-                "number": KIND_NUMBER, "word": KIND_WORD}
+# Kind of the token whose last `_TOKEN_RE` group is the key.  A match with
+# no group, one other non-blank character, is punctuation or a word.
+_GROUP_KINDS = {"word": KIND_WORD, "wcode": KIND_CODE, "number": KIND_NUMBER,
+                "ncode": KIND_CODE, "ellipsis": KIND_PUNCTUATION}
 
 
 def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Token]:

@@ -213,10 +213,13 @@ def test_streamed_merge_equals_the_whole_list_merge_on_generated_texts():
     for _ in range(3000):
         text = _pieces(rng, rng.randrange(12))
         tokens = tok.tokenize(text, ABBREVIATIONS)
-        merged = reference_merge_multiwords(tokens, text, MULTIWORDS)
-        assert tok.merge_multiwords(tokens, text, MULTIWORDS) == merged, text
-        assert list(tok.iter_sentences(text, ABBREVIATIONS, MULTIWORDS)) == \
-            tok.sentence_split(merged), text
+        # with no multiwords, `iter_sentences` skips the merge and splits
+        # the scanned tokens directly
+        for multiwords in (MULTIWORDS, ()):
+            merged = reference_merge_multiwords(tokens, text, multiwords)
+            assert tok.merge_multiwords(tokens, text, multiwords) == merged, text
+            assert list(tok.iter_sentences(text, ABBREVIATIONS, multiwords)) == \
+                tok.sentence_split(merged), text
 
 
 # ---------------------------------------------------------------- memory

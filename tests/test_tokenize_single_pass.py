@@ -1,12 +1,15 @@
 """The one-pass `tokenize` against the three-pass version it replaced.
 
-`reference_tokenize` is the earlier implementation kept verbatim: regex
-matches into one list, abbreviation merging into a second, and byte spans
-in a third loop.  The single-pass version must give the same tokens on
-every input, and must not need much more memory than the list it returns.
+`reference_tokenize` is the earlier implementation kept verbatim, with the
+token pattern of that time as its own: regex matches into one list,
+abbreviation merging into a second, and byte spans in a third loop.  The
+single-pass version, and its pattern that matches each letter or digit run
+once, must give the same tokens on every input, and must not need much
+more memory than the list it returns.
 """
 
 import random
+import re
 import tracemalloc
 
 from spantag.tokenizer import (
@@ -16,10 +19,20 @@ from spantag.tokenizer import (
     KIND_PUNCTUATION,
     KIND_WORD,
     Token,
-    _TOKEN_RE,
     _is_punct_char,
     default_abbreviations,
     tokenize,
+)
+
+# The token pattern of the earlier implementation, kept here so that the
+# reference does not follow the module's: it tries a code before a word or
+# a number, so it scans each letter or digit run twice.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ellipsis>\.\.\.)"
+    r"|(?P<code>(?:[^\W\d_]+\d|\d+[^\W\d_])\w*)"
+    r"|(?P<number>\d+(?:[.,]\d+)*(?:-\d+(?:[.,]\d+)*)?)"
+    r"|(?P<word>[^\W\d_]+(?:-[^\W\d_]+)*)"
+    r"|(?P<other>\S)"
 )
 
 
@@ -28,7 +41,7 @@ def reference_tokenize(text, abbreviations=None):
         abbreviations = default_abbreviations()
 
     raw = []  # surface, char start/end, kind
-    for m in _TOKEN_RE.finditer(text):
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         surface = m.group()
         if kind == "ellipsis":
@@ -74,14 +87,17 @@ def reference_tokenize(text, abbreviations=None):
 
 # Pieces drawn for the generated texts: every registry abbreviation with and
 # without its period, user abbreviations, period runs, non-ASCII letters and
-# marks (a combining accent, `²`, `ª`), numbers, ranges and codes, joined by
-# nothing or by whitespace that includes NBSP and a thin space.
+# marks (a combining accent, `²`, `ª`), letter-numerals (`Ⅻ`), non-ASCII
+# decimal digits (`٣`) where a letter run meets a digit run, numbers, ranges
+# and codes, joined by nothing or by whitespace that includes NBSP and a
+# thin space.
 _PIECES = (
     sorted(default_abbreviations())
     + [a[:-1] for a in sorted(default_abbreviations())]
     + ["Sr", "Sr.", "kg", "kg.", "Ud", "Ud.", "etc", "A4", "ª", "1ª", "²", "m²",
        "\u00e9", "e\u0301", "\u0301", "caf\u00e9", ".", ".", ".", "..", "...", "....", "…",
        "40-50", "1.000", "3,5", "12-3,5", "1.000.000-2", "4x4", "B52b", "abc123", "x2y",
+       "\u0663", "a\u0663", "\u0663a", "\u216b", "x_1", "1_x",
        "dímelo", "García", "señor", "hola", "al", "del", "niño-prodigio", "-",
        "ελ", "汉字", "🙂", "¿", "¡", "?", "!", ",", ";", ":", "«", "»", "—", "'",
        '"', "_", "€", "%", "(", ")", "İ"]
