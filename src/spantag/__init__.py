@@ -14,11 +14,13 @@ pays only for the modules it runs.
 _MODULES = ("bias", "corpus_io", "errors", "lexicon", "tagger", "tagset", "tokenizer")
 
 # Public names by the module that defines them.  `tagset` and `tokenizer`
-# re-export the `_core` names and `tagger` the `_model` ones, but reading
-# `spantag.Token` or `spantag.train` loads only the defining module.
+# re-export the `_core` names and `tagger` the `_model` and `_model_reader`
+# ones, but reading `spantag.Token` or `spantag.train` loads only the
+# defining module.
 _EXPORTS = {
     "_core": ("Tag", "Token", "parse_tag"),
-    "_model": ("HmmModel", "load_model", "save_model", "train"),
+    "_model": ("HmmModel", "save_model", "train"),
+    "_model_reader": ("load_model",),
     "bias": ("BiasRule", "RuleSet", "TagPattern", "load_rules", "parse_rules"),
     "corpus_io": (
         "EvalReport", "TaggedSentence", "VerticalDocument", "evaluate", "format_report",

@@ -12,8 +12,9 @@ are never constrained.  Exact-score ties break toward the path whose
 earlier differing position carries the tag that comes first in registry
 order, which makes decoding fully deterministic.
 
-Training, smoothing and the model files live in `_model`; `tagger.train`,
-`tagger.load_model` and the other model names are its objects.
+Training, smoothing and writing model files live in `_model`, and
+reading them in `_model_reader`; `tagger.train`, `tagger.load_model` and
+the other model names are their objects.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import math
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-# `_model` is imported first, see the note above `cli.cmd_train`
+# `_model_reader` is imported first, see the note above `cli.cmd_train`
+from ._model_reader import load_model, model_from_text
 from ._model import (
-    COUNTS_MARKER, END, START, UNKNOWN, HmmModel, load_model, model_from_text,
-    model_to_counts_text, model_to_text, save_model, train,
+    COUNTS_MARKER, END, START, UNKNOWN, HmmModel, model_to_counts_text, model_to_text,
+    save_model, train,
 )
 from ._core import Tag, table_columns
 from .corpus_io import TaggedSentence

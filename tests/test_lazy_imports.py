@@ -63,7 +63,8 @@ CORE = {"_core", "_tagset_data"}  # the tag table, its reader and the token reco
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """`train` loads the model code and the corpus reader only; `validate`
+    """`train` loads the model code and the corpus reader only, never the
+    model-file reader; `validate`
     and `eval` load neither the tokenizer nor the feature registry;
     `tokenize` and `tag` load no feature registry; `--help` loads only the
     CLI and its errors."""
@@ -97,7 +98,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert loaded_modules(
         CLI, "tag", "input.txt", "--model", "toy.model", "--lexicon", "lexicon.tsv",
         "--rules", "rules.txt", cwd=tmp_path,
-    ) == cli | CORE | {"_model"} | MODULES - {"tagset"}
+    ) == cli | CORE | {"_model", "_model_reader"} | MODULES - {"tagset"}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -107,6 +108,11 @@ def test_importing_the_package_loads_no_submodule():
         "lexicon", "errors", "_core", "_tagset_data"}
 
 
+# The model modules that reading each model name loads, beside `_core`.
+MODEL_MODULES = {"train": {"_model"}, "HmmModel": {"_model"}, "save_model": {"_model"},
+                 "load_model": {"_model_reader", "_model"}}
+
+
 @pytest.mark.parametrize("name, public", [
     ("Token", "tokenizer"), ("Tag", "tagset"), ("parse_tag", "tagset"),
     ("train", "tagger"), ("HmmModel", "tagger"), ("load_model", "tagger"),
@@ -114,10 +120,12 @@ def test_importing_the_package_loads_no_submodule():
 ])
 def test_a_re_exported_name_loads_only_its_defining_module(name, public):
     """`spantag.Token` loads `_core`, not the tokenizer that re-exports it;
-    `spantag.train` loads `_model`, not the decoder."""
+    `spantag.train` loads `_model`, not the decoder or the model-file
+    reader; `spantag.load_model` loads the reader and the `_model` it
+    builds models with."""
     loaded = loaded_modules(f"import sys, spantag; spantag.{name}")
     assert public not in loaded
-    assert loaded == CORE | {"errors"} | ({"_model"} if public == "tagger" else set())
+    assert loaded == CORE | {"errors"} | MODEL_MODULES.get(name, set())
 
 
 def test_public_names_are_the_modules_objects():
@@ -131,16 +139,20 @@ def test_public_names_are_the_modules_objects():
             module = sys.modules[f"spantag.{spantag._MODULE_OF[name]}"]
             assert value is getattr(module, name), name
     assert spantag.train is spantag.tagger.train
+    assert spantag._MODULE_OF["load_model"] == "_model_reader"
+    assert spantag.load_model is sys.modules["spantag._model_reader"].load_model
     assert spantag.tagger is sys.modules["spantag.tagger"]
     assert spantag.tagger.TaggedSentence is spantag.corpus_io.TaggedSentence
     assert spantag.TaggedSentence is spantag.corpus_io.TaggedSentence
 
 
-# The names `tagger`, `tagset` and `tokenizer` take from `_model` and `_core`.
+# The names `tagger`, `tagset` and `tokenizer` take from `_model`,
+# `_model_reader` and `_core`.
 MODEL_NAMES = (
-    "COUNTS_MARKER", "END", "START", "UNKNOWN", "HmmModel", "load_model", "model_from_text",
-    "model_to_counts_text", "model_to_text", "save_model", "train",
+    "COUNTS_MARKER", "END", "START", "UNKNOWN", "HmmModel", "model_to_counts_text",
+    "model_to_text", "save_model", "train",
 )
+READER_NAMES = ("load_model", "model_from_text")
 TABLE_NAMES = ("REGISTRY_SIZE", "Tag", "TableColumns", "_TAGS", "parse_tag", "table_columns")
 TOKEN_NAMES = (
     "KIND_ABBREVIATION", "KIND_CODE", "KIND_ENCLITIC_PART", "KIND_NUMBER",
@@ -149,9 +161,12 @@ TOKEN_NAMES = (
 
 
 def test_moved_names_are_the_same_objects():
-    from spantag import _core, _model, corpus_io, tagger, tagset, tokenizer
+    from spantag import _core, _model, _model_reader, corpus_io, tagger, tagset, tokenizer
     for name in MODEL_NAMES:
         assert getattr(tagger, name) is getattr(_model, name), name
+    for name in READER_NAMES:
+        assert getattr(tagger, name) is getattr(_model_reader, name), name
+        assert not hasattr(_model, name), name  # `train` never compiles the reader
     for name in TABLE_NAMES:
         assert getattr(tagset, name) is getattr(_core, name), name
     for name in TOKEN_NAMES:
