@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "lexicon": (
         "AmbiguityClass", "Lexicon", "ambiguity_report", "guess_unknown", "load_lexicon",
-        "parse_lexicon", "save_lexicon", "seed_lexicon",
+        "parse_lexicon", "seed_lexicon",
     ),
     "tagger": ("candidates", "iter_tagged", "tag_text", "viterbi_decode"),
     "tagset": (

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Set
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._core import table_columns
 from .errors import EmptyCorpus, ModelFormatError, SmoothingError, TaggingError, UnknownTag
@@ -32,6 +33,26 @@ _NORM_TOL = 1e-9
 _MIN_PROB = sys.float_info.min  # smallest normal float
 
 Counts = dict[str, dict[str, int]]  # training counts per context: {context: {outcome: n}}
+
+
+class RowNames(NamedTuple):
+    """The names a model row may hold, each mapped to the registry's own
+    str (START and END to themselves), and the order the writers list
+    them in.  One instance is shared by every caller, so its dicts are
+    read only."""
+
+    contexts: dict[str, str]  # of a transition row: START and the codes
+    outcomes: dict[str, str]  # of a transition: the codes and END
+    tags: dict[str, str]  # of an emission row: the codes
+    order: dict[str, int]  # START, the codes in registry order, then END
+
+
+@lru_cache(maxsize=1)
+def _row_names() -> RowNames:
+    codes = table_columns().codes
+    tags = {code: code for code in codes}
+    return RowNames({START: START, **tags}, {**tags, END: END}, tags,
+                    {name: i for i, name in enumerate([START, *codes, END])})
 
 
 class HmmModel:
@@ -76,11 +97,11 @@ class HmmModel:
             raise ModelFormatError(
                 f"kt {kt!r} is too small: a tag prior is zero or subnormal"
             )
-        code_set = table_columns().index.keys()
+        names = _row_names()
         self._store_rows(
-            _sparse_rows("transition", transitions, code_set | {START}, code_set | {END},
+            _sparse_rows("transition", transitions, names.contexts, names.outcomes.keys(),
                          f"the registry plus {END}"),
-            _sparse_rows("emission", emissions, code_set, self.vocab | {UNKNOWN},
+            _sparse_rows("emission", emissions, names.tags, self.vocab | {UNKNOWN},
                          f"the vocabulary plus {UNKNOWN}"),
         )
 
@@ -159,7 +180,7 @@ def _add_k_denominator(name: str, k: float, total: int, n_outcomes: int) -> floa
     return denom
 
 
-def _sparse_rows(table: str, rows: dict, contexts: set[str], outcomes: set[str], cover: str):
+def _sparse_rows(table: str, rows: dict, contexts: dict, outcomes: Set[str], cover: str):
     """Check full probability rows and store each as ``(unseen, seen)``:
     its minimum, and the outcomes whose probability differs from it."""
     sparse = {}
@@ -267,13 +288,6 @@ def _smoothed_rows(name: str, k: float, counts: Counts, contexts: list[str],
 
 # ------------------------------------------------------------------ model IO
 
-def _registry_order() -> dict[str, int]:
-    order = dict(table_columns().index)
-    order[START] = -1
-    order[END] = len(order)
-    return order
-
-
 def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
     name = model.corpus_name
     # A tab, LF or CR would split or clip the corpus row when the file is read
@@ -306,7 +320,7 @@ def model_to_text(model: HmmModel) -> str:
 def _v1_blocks(model: HmmModel) -> Iterator[str]:
     """`model_to_text` as blocks of whole lines: a section header, a
     context's rows, then META."""
-    order = _registry_order()
+    order = _row_names().order
     for section, rows in (("TRANSITIONS", model.transitions), ("EMISSIONS", model.emissions)):
         yield section + "\n"
         for context in sorted(rows, key=order.__getitem__):
@@ -330,7 +344,7 @@ def model_to_counts_text(model: HmmModel) -> str:
 def _counts_blocks(model: HmmModel) -> Iterator[str]:
     """`model_to_counts_text` as blocks of whole lines: the marker, a
     section header, a context's rows, then META."""
-    order = _registry_order()
+    order = _row_names().order
     yield COUNTS_MARKER + "\n"
     for section, rows, outcome_key in (
         ("TRANSITIONS", model._transition_counts, order.__getitem__),

@@ -6,8 +6,10 @@ A counts file in `save_model`'s own layout is read a section at a time
 any file with a faulty row, to the row scanner (`_data_rows`).  So only
 the row scanner reports a fault in a row, the checks that follow run on
 the same tables either way, and no message or line number depends on
-the path.  `spantag train` writes a model but never reads one, so it
-does not compile this module.
+the path.  Both take a row's names from `_model._row_names`, so the
+tables hold the registry's own str for each tag, START and END, not
+the file's copies.  `spantag train` writes a model but never reads
+one, so it does not compile this module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 
 # `_model` is imported first, see the note above `cli.cmd_train`
 from ._model import (
-    COUNTS_MARKER, END, START, UNKNOWN, Counts, HmmModel, _smoothed_model, _smoothing_constant,
+    COUNTS_MARKER, END, START, UNKNOWN, Counts, HmmModel, _row_names, _smoothed_model,
+    _smoothing_constant,
 )
 from ._core import parse_tag, table_columns
 from .errors import ModelFormatError, UnknownTag, parse_file, split_lines
@@ -110,16 +113,16 @@ def _sections(text: str) -> tuple[Counts, Counts, dict, dict] | None:
     meta_at = text.find("\nMETA\n", emissions_at)
     if not len(_LAYOUT_HEAD) - 1 <= emissions_at < meta_at:
         return None
-    codes = {code: code for code in table_columns().codes}
+    names = _row_names()
     first_lines: dict[tuple[str, str], int] = {}
     trans_body = text[len(_LAYOUT_HEAD):emissions_at + 1]
-    transitions = _section_rows(trans_body, "TRANSITIONS", 3, {**codes, START: START},
-                                {**codes, END: END}, first_lines)
+    transitions = _section_rows(trans_body, "TRANSITIONS", 3, names.contexts, names.outcomes,
+                                first_lines)
     if transitions is None:
         return None
     line_no = 4 + trans_body.count("\n")  # of the first emission row
     emit_body = text[emissions_at + len("\nEMISSIONS\n"):meta_at + 1]
-    emissions = _section_rows(emit_body, "EMISSIONS", line_no, codes, None, first_lines)
+    emissions = _section_rows(emit_body, "EMISSIONS", line_no, names.tags, None, first_lines)
     if emissions is None:
         return None
     line_no += emit_body.count("\n") + 1  # of the first META row
@@ -201,8 +204,8 @@ def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value)
     skipped; data before the first section header, rows of the wrong
     width, a second row for one pair or META key and rows whose context or
     outcome no model can hold are rejected."""
-    codes = table_columns().index.keys()
-    allowed = {"TRANSITIONS": (codes | {START}, codes | {END}), "EMISSIONS": (codes, None)}
+    names = _row_names()
+    allowed = {"TRANSITIONS": (names.contexts, names.outcomes), "EMISSIONS": (names.tags, None)}
     tables: dict[str, dict[str, dict]] = {"TRANSITIONS": {}, "EMISSIONS": {}}
     meta: dict[str, tuple[str, int]] = {}
     first_lines: dict[tuple[str, str], int] = {}
@@ -237,12 +240,15 @@ def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value)
                     else f"transition context {context!r} is neither {START} nor a registry tag",
                     line_no,
                 )
+            context = contexts[context]  # the registry's str, not the file's
             row = rows[context] = {}
             first_lines[section, context] = line_no
-        if outcomes is not None and outcome not in outcomes:
-            raise ModelFormatError(
-                f"transition outcome {outcome!r} is neither a registry tag nor {END}", line_no
-            )
+        if outcomes is not None:
+            if outcome not in outcomes:
+                raise ModelFormatError(
+                    f"transition outcome {outcome!r} is neither a registry tag nor {END}", line_no
+                )
+            outcome = outcomes[outcome]
         value = read_value(section, outcome, cell, line_no)
         if outcome in row:
             raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)

@@ -149,15 +149,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return parse_file(Path(path), parse_lexicon)
 
 
-def save_lexicon(lexicon: Lexicon) -> str:
-    """Canonical serialization: wordforms sorted, tags in registry order."""
-    lines = [
-        f"{form}\t{cls.signature()}"
-        for form, cls in sorted(lexicon.items())
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 # Ordered suffix rules for open-class guessing.  First match wins; a rule
 # fires only on a proper suffix (non-empty stem).
 SUFFIX_RULES: tuple[tuple[str, tuple[str, ...]], ...] = (

@@ -91,22 +91,20 @@ def emission_scores(
     share each tag's unknown-word mass across the token's candidate set
     proportionally to smoothed tag priors from training.
     """
-    return [_emission_row(model, token.surface, cls) for token, cls in sentence]
+    unknown_rows: dict[AmbiguityClass, dict[str, float]] = {}
+    return [_emission_row(model, token.surface, cls, unknown_rows) for token, cls in sentence]
 
 
 def _emission_row(
     model: HmmModel, surface: str, cls: AmbiguityClass,
-    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None = None,
+    unknown_rows: dict[AmbiguityClass, dict[str, float]],
 ) -> dict[str, float]:
     """One token's emission row.  An unknown wordform's row depends on its
-    class alone, so with `unknown_rows` the wordforms of one class share
-    the row kept there."""
+    class alone, so the unknown wordforms of one class share the row kept
+    in `unknown_rows`."""
     form = model.emission_form(surface)
-    if form is None and unknown_rows is not None:
-        row = unknown_rows.get(cls)
-        if row is None:
-            row = unknown_rows[cls] = _emission_row(model, surface, cls)
-        return row
+    if form is None and cls in unknown_rows:
+        return unknown_rows[cls]
     tags = cls.sorted_tags()
     row = {}
     if form is not None:
@@ -115,9 +113,8 @@ def _emission_row(
     else:
         denom = math.fsum(model.prior(t.code) for t in tags)
         for t in tags:
-            row[t.code] = math.log10(
-                model.unknown_prob(t.code) * model.prior(t.code) / denom
-            )
+            row[t.code] = math.log10(model.unknown_prob(t.code) * model.prior(t.code) / denom)
+        unknown_rows[cls] = row
     return row
 
 
@@ -210,7 +207,7 @@ def prepare_sentence(
     enclitic_split: bool = True,
 ) -> list[tuple[tok.Token, AmbiguityClass]]:
     """Resolve splits and attach candidate sets for one sentence."""
-    return _prepare(sentence_tokens, model, lexicon, enclitic_split, {}, None)[0]
+    return _prepare(sentence_tokens, model, lexicon, enclitic_split, {}, {})[0]
 
 
 def _prepare(
@@ -218,31 +215,26 @@ def _prepare(
     model: HmmModel,
     lexicon: Lexicon,
     enclitic_split: bool,
-    types: dict[tuple[str, str, bool], tuple],
-    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None,
-) -> tuple[list[tuple[tok.Token, AmbiguityClass]], list[dict[str, float] | None]]:
-    """`prepare_sentence`, and unless `unknown_rows` is None each prepared
-    token's emission row (None if it is), unknown wordforms' rows shared by
-    class through it.  `types` remembers what each tokenizer token (one
-    without candidates) resolved to, keyed by (surface, kind, sentence
-    initial): the entry `_resolve` returns.  The parts of a split are
-    built per token, since their spans differ."""
+    types: dict[tuple, tuple],
+    unknown_rows: dict[AmbiguityClass, dict[str, float]],
+) -> tuple[list[tuple[tok.Token, AmbiguityClass]], list[dict[str, float]]]:
+    """`prepare_sentence`, and each prepared token's emission row, unknown
+    wordforms' rows shared by class through `unknown_rows`.  `types`
+    remembers what each token resolved to, keyed by (surface, kind,
+    sentence initial, candidates): the entry `_resolve` returns.  The
+    parts of a split are built per token, since their spans differ."""
     # By position, not identity: one Token object may occur twice.
     first_wordish = next(
         (i for i, t in enumerate(sentence_tokens) if t.kind != tok.KIND_PUNCTUATION), None
     )
     prepared: list[tuple[tok.Token, AmbiguityClass]] = []
-    emits: list[dict[str, float] | None] = []
+    emits: list[dict[str, float]] = []
     for i, token in enumerate(sentence_tokens):
-        if token.candidates is None:
-            key = (token.surface, token.kind, i == first_wordish)
-            entry = types.get(key)
-            if entry is None:
-                entry = types[key] = _resolve(
-                    token, model, lexicon, enclitic_split, key[2], unknown_rows)
-        else:
-            entry = _resolve(token, model, lexicon, enclitic_split, i == first_wordish,
-                             unknown_rows)
+        key = (token.surface, token.kind, i == first_wordish, token.candidates)
+        entry = types.get(key)
+        if entry is None:
+            entry = types[key] = _resolve(token, model, lexicon, enclitic_split, key[2],
+                                          unknown_rows)
         decision, cls, row = entry
         if decision is None:
             prepared.append((token, cls))
@@ -255,11 +247,11 @@ def _prepare(
 
 def _resolve(
     token: tok.Token, model: HmmModel, lexicon: Lexicon, enclitic_split: bool, initial: bool,
-    unknown_rows: dict[AmbiguityClass, dict[str, float]] | None,
+    unknown_rows: dict[AmbiguityClass, dict[str, float]],
 ) -> tuple:
     """(None, candidate class, emission row) for a token kept whole, or
     (split decision, class per part, emission row per part); the decision
-    carries the parts' kind.  Rows are None if `unknown_rows` is."""
+    carries the parts' kind."""
     decision = None
     if token.kind == tok.KIND_WORD:
         decision = tok.split_portmanteau(token)
@@ -267,15 +259,11 @@ def _resolve(
             decision = tok.split_enclitics(token, lexicon)
     if decision is None:
         cls = candidates(model, lexicon, token, sentence_initial=initial)
-        row = None if unknown_rows is None else _emission_row(
-            model, token.surface, cls, unknown_rows)
-        return None, cls, row
+        return None, cls, _emission_row(model, token.surface, cls, unknown_rows)
     # split parts carry their candidates (see `candidates`)
     classes = tuple(AmbiguityClass(tags) for _surface, tags in decision.parts)
-    rows = tuple(
-        None if unknown_rows is None else _emission_row(model, surface, cls, unknown_rows)
-        for (surface, _tags), cls in zip(decision.parts, classes)
-    )
+    rows = tuple(_emission_row(model, surface, cls, unknown_rows)
+                 for (surface, _tags), cls in zip(decision.parts, classes))
     return decision, classes, rows
 
 
@@ -309,14 +297,14 @@ def iter_tagged(
 
     Sentences whose constrained decoding is infeasible fall back to
     unconstrained decoding and come back flagged.  One cache, keyed by
-    (surface, kind, sentence initial), holds each word type's split
-    decision, candidate classes and emission rows from its first
+    (surface, kind, sentence initial, candidates), holds each word type's
+    split decision, candidate classes and emission rows from its first
     occurrence until the generator is done; a later occurrence costs one
     lookup.  Unknown wordforms of one candidate class share one emission
     row.  So besides the text it holds one sentence and memory that grows
     with the number of distinct types.
     """
-    types: dict[tuple[str, str, bool], tuple] = {}
+    types: dict[tuple, tuple] = {}
     unknown_rows: dict[AmbiguityClass, dict[str, float]] = {}
     for sentence_tokens in tok.iter_sentences(text, abbreviations, multiwords):
         prep, emits = _prepare(sentence_tokens, model, lexicon, enclitic_split, types,

@@ -27,10 +27,9 @@ PUBLIC_NAMES = [
     "format_features", "format_report", "format_sentence", "format_vertical",
     "guess_unknown", "iter_tagged", "lexicon", "list_by", "load_lexicon", "load_model",
     "load_registry", "load_rules", "merge_multiwords", "parse_features", "parse_lexicon",
-    "parse_rules", "parse_tag", "parse_vertical", "read_vertical", "save_lexicon",
-    "save_model", "seed_lexicon", "sentence_split", "split_enclitics", "split_portmanteau",
-    "tag_text", "tagger", "tagset", "tokenize", "tokenizer", "train", "viterbi_decode",
-    "write_vertical",
+    "parse_rules", "parse_tag", "parse_vertical", "read_vertical", "save_model",
+    "seed_lexicon", "sentence_split", "split_enclitics", "split_portmanteau", "tag_text",
+    "tagger", "tagset", "tokenize", "tokenizer", "train", "viterbi_decode", "write_vertical",
 ]
 MODULES = {"bias", "corpus_io", "errors", "lexicon", "tagger", "tagset", "tokenizer"}
 

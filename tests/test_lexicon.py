@@ -12,7 +12,6 @@ from spantag.lexicon import (
     guess_unknown,
     load_lexicon,
     parse_lexicon,
-    save_lexicon,
     seed_lexicon,
 )
 from spantag.tagset import decompose, load_registry, parse_tag
@@ -124,15 +123,6 @@ def test_merge_monotonicity():
     merged = parse_lexicon("\n".join(base_lines + extra_lines), include_seed=False)
     for form, cls in base.items():
         assert cls.tags <= merged.lookup(form).tags
-
-
-def test_save_load_roundtrip(tmp_path):
-    text = "mesa\tNCFS\nal\tPAL,CSUBI\nmesa\tNCFP\n"
-    lex = parse_lexicon(text, include_seed=False)
-    saved = save_lexicon(lex)
-    assert saved == "al\tCSUBI,PAL\nmesa\tNCFP,NCFS\n"
-    again = parse_lexicon(saved, include_seed=False)
-    assert save_lexicon(again) == saved
 
 
 # ----------------------------------------------------------------- guesser

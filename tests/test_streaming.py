@@ -16,7 +16,8 @@ from spantag import tokenizer as tok
 from spantag.bias import parse_rules
 from spantag.corpus_io import VerticalDocument, format_sentence, format_vertical, parse_vertical
 from spantag.lexicon import parse_lexicon
-from spantag.tagger import iter_tagged, tag_text, train
+from spantag.tagger import END, START, iter_tagged, load_model, save_model, tag_text, train
+from spantag.tagset import table_columns
 
 from conftest import sentence
 
@@ -271,7 +272,7 @@ def _tag_and_format_peak(model, lexicon, ruleset, text):
 
 
 # Bytes per token of tagging and formatting one terminator-free sentence of
-# 4,000 tokens: 456, 458, 450 and 450 on CPython 3.10-3.13, against 579,
+# 4,000 tokens: 457, 459, 451 and 451 on CPython 3.10-3.13, against 579,
 # 594, 578 and 578 when the lattice kept each state's score and rows, each
 # line was formatted into a string of its own, and the sentence's working
 # lists were held while it was formatted.
@@ -304,8 +305,9 @@ def _sentences_of(words):
 
 # Bytes per distinct type that `iter_tagged` keeps until it is done: the
 # key, its entry and the surface the key holds; unknown words of one class
-# share their emission row.  222, 222, 214 and 214 on CPython 3.10-3.13 for
-# 4,000 unknown words (550, 502, 494 and 494 with an emission row each).
+# share their emission row.  230, 230, 222 and 222 on CPython 3.10-3.13 for
+# 4,000 unknown words, 8 more than with no candidates in the key (550, 502,
+# 494 and 494 with an emission row each).
 CACHE_BYTES_PER_TYPE = 250
 
 
@@ -322,3 +324,39 @@ def test_type_cache_grows_with_types_not_tokens(toy):
     assert per_type <= CACHE_BYTES_PER_TYPE, per_type
     # the same tokens with one type cost a sentence, not a cache entry each
     assert peak_one * 20 < peak_distinct, (peak_one, peak_distinct)
+
+
+def _held_by_load(path):
+    """The model `load_model` reads from `path`, and the tracemalloc bytes
+    that the load allocated and still holds after a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = load_model(path)
+        gc.collect()
+        return model, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_model_read_row_by_row_holds_the_registry_strings(news, tmp_path):
+    """The file as saved is read a section at a time and its CRLF copy row
+    by row (`_model_reader._data_rows`).  Both loads must hold the
+    registry's own str for every transition context and outcome, not the
+    file's copy per row, so the copy costs no more memory: 668,589 and
+    668,580 bytes on CPython 3.11, against 890,882 for the copy when the
+    row scanner kept the file's strings."""
+    saved, crlf = tmp_path / "saved.model", tmp_path / "crlf.model"
+    save_model(news["model"], saved)
+    crlf.write_bytes(saved.read_bytes().replace(b"\n", b"\r\n"))
+    registry = {code: code for code in table_columns().codes} | {START: START, END: END}
+    held = {}
+    for path in (saved, crlf):
+        load_model(path)  # warm the registry and the tag table
+        model, held[path.stem] = _held_by_load(path)
+        assert all(c is registry[c] and o is registry[o] for c, o in model.transition_counts)
+        for context, (_unseen, seen) in model._transitions.items():
+            assert context is registry[context]
+            assert all(outcome is registry[outcome] for outcome in seen)
+    assert held["crlf"] <= held["saved"], held

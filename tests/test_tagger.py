@@ -3,11 +3,15 @@
 import itertools
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from spantag import tokenizer as tok
 from spantag.bias import parse_rules
+from spantag.corpus_io import parse_vertical
 from spantag.errors import EmptyCorpus, ModelFormatError, NoValidPath
 from spantag.lexicon import AmbiguityClass, parse_lexicon, seed_lexicon
 from spantag.tagger import (
@@ -31,6 +35,9 @@ from spantag.tagset import load_registry, parse_tag
 from spantag.tokenizer import KIND_NUMBER, KIND_PUNCTUATION, KIND_WORD, Token
 
 from conftest import make_token, sentence
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import synth  # noqa: E402
 
 
 # ---------------------------------------------------------------- training
@@ -602,6 +609,27 @@ def test_prepare_sentence_marks_only_the_first_position_initial(toy_corpus):
     proper = {parse_tag("NPAXX"), parse_tag("NPTOS")}
     assert not proper & prepared[0][1].tags
     assert proper <= prepared[2][1].tags
+
+
+def test_prepare_sentence_is_idempotent_on_workloads():
+    """Preparing a prepared sentence's tokens gives it back: split parts,
+    which carry their candidates, resolve to their own class.  Every
+    sentence of both workloads at seeds 1-3, so the parts of portmanteaux
+    and clitic groups, also a part repeated within a sentence, go through
+    the type cache keyed by their candidates."""
+    sentences = repeated_parts = 0
+    for name, seed in itertools.product(("news-stream", "long-sentence"), (1, 2, 3)):
+        wl = synth.generate(name, seed)
+        model = train(parse_vertical(wl.files["gold.vrt"]).sentences)
+        lexicon = parse_lexicon(wl.files["lexicon.tsv"])
+        abbreviations = tok.default_abbreviations() | set(wl.files["abbrev.txt"].split())
+        for sentence_tokens in tok.iter_sentences(wl.text, abbreviations, wl.multiwords):
+            prep = prepare_sentence(sentence_tokens, model, lexicon)
+            assert prepare_sentence([t for t, _cls in prep], model, lexicon) == prep
+            parts = [(t.surface, t.kind, t.candidates) for t, _cls in prep if t.candidates]
+            sentences += 1
+            repeated_parts += len(parts) - len(set(parts))
+    assert sentences > 400 and repeated_parts > 100, (sentences, repeated_parts)
 
 
 def test_tag_text_splits_portmanteau_and_enclitics():
