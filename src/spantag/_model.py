@@ -28,6 +28,7 @@ END = "</s>"
 UNKNOWN = "<unk>"
 
 COUNTS_MARKER = "COUNTS"  # first line of a counts model file
+TRANSITIONS, EMISSIONS, META = "TRANSITIONS", "EMISSIONS", "META"  # a model file's sections
 
 _NORM_TOL = 1e-9
 _MIN_PROB = sys.float_info.min  # smallest normal float
@@ -295,7 +296,7 @@ def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
     if any(ch in "\t\n\r" or "\ud800" <= ch <= "\udfff" for ch in name):
         raise TaggingError(f"corpus name {name!r} cannot be stored in a model file")
     return [
-        "META",
+        META,
         f"corpus\t{name}",
         f"tokens\t{model.token_count}",
         f"kt\t{model.kt!r}",
@@ -321,7 +322,7 @@ def _v1_blocks(model: HmmModel) -> Iterator[str]:
     """`model_to_text` as blocks of whole lines: a section header, a
     context's rows, then META."""
     order = _row_names().order
-    for section, rows in (("TRANSITIONS", model.transitions), ("EMISSIONS", model.emissions)):
+    for section, rows in ((TRANSITIONS, model.transitions), (EMISSIONS, model.emissions)):
         yield section + "\n"
         for context in sorted(rows, key=order.__getitem__):
             yield "".join([f"{context}\t{outcome}\t{math.log10(prob)!r}\n"
@@ -347,8 +348,8 @@ def _counts_blocks(model: HmmModel) -> Iterator[str]:
     order = _row_names().order
     yield COUNTS_MARKER + "\n"
     for section, rows, outcome_key in (
-        ("TRANSITIONS", model._transition_counts, order.__getitem__),
-        ("EMISSIONS", model._emission_counts, None),
+        (TRANSITIONS, model._transition_counts, order.__getitem__),
+        (EMISSIONS, model._emission_counts, None),
     ):
         yield section + "\n"
         for context in sorted(rows, key=order.__getitem__):

@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a vertical corpus")
     p.add_argument("--corpus", required=True, help="gold vertical file")
     p.add_argument("--model", required=True, help="model output path")
-    p.add_argument("--kt", type=float, default=0.5, help="transition add-k (default 0.5)")
-    p.add_argument("--ke", type=float, default=0.1, help="emission add-k (default 0.1)")
+    p.add_argument("--kt", type=float, default=0.5, help="transition add-k (default %(default)s)")
+    p.add_argument("--ke", type=float, default=0.1, help="emission add-k (default %(default)s)")
     p.add_argument("--name", help="corpus name stored in the model")
     p.add_argument("--lenient", action="store_true", help="tolerate unknown tags in the corpus")
     p.set_defaults(func=cmd_train)

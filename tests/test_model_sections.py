@@ -16,8 +16,10 @@ from pathlib import Path
 import pytest
 
 from spantag import _model_reader, corpus_io
+from spantag.errors import ModelFormatError
 from spantag.tagger import model_from_text, model_to_counts_text, save_model, train
 
+from test_model_counts import BAD_LINES, toy_counts_lines
 from test_reader_mutations import FORMATS, MODEL, MUTANTS, SEED, mutate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -170,3 +172,32 @@ def test_bench_models_are_read_a_section_at_a_time(workload, seed, monkeypatch):
 
     monkeypatch.setattr(_model_reader, "_data_rows", no_row_scan)
     assert model_to_counts_text(model_from_text(text)) == text
+
+
+def test_the_row_scanner_runs_on_a_layout_file_only_when_it_fails(toy_corpus, monkeypatch):
+    """`_sections` numbers no line.  A file in the layout that loads is
+    never scanned row by row; one whose tables disagree is scanned once,
+    and the line of its fault comes from the row scanner's records: of
+    the first transition into the tag, or of the META row."""
+    calls = []
+    data_rows = _model_reader._data_rows
+
+    def counted(*args):
+        calls.append(args)
+        return data_rows(*args)
+
+    monkeypatch.setattr(_model_reader, "_data_rows", counted)
+    gold = synth.generate("news-stream", 1).files["gold.vrt"]
+    for text in (TEXT, model_to_counts_text(train(corpus_io.parse_vertical(gold).sentences))):
+        model_from_text(text)
+    assert calls == []
+    for name in ("incoming-not-emitted", "emitted-not-count"):
+        line_no, replacement, error_line = BAD_LINES[name]
+        lines = toy_counts_lines(toy_corpus)
+        lines[line_no - 1] = replacement
+        text = "\n".join(lines) + "\n"
+        assert _model_reader._sections(text) is not None, name
+        calls.clear()
+        with pytest.raises(ModelFormatError) as err:
+            model_from_text(text)
+        assert (len(calls), err.value.line) == (1, error_line), name
