@@ -208,13 +208,15 @@ def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value)
     ``read_value(section, outcome, cell, line_no)``, read in the same pass,
     so the first fault in file order is the one reported.  Blank lines are
     skipped; data before the first section header, rows of the wrong
-    width, a second row for one pair or META key and rows whose context or
-    outcome no model can hold are rejected."""
+    width, a second row for one pair or META key, rows whose context or
+    outcome no model can hold and a file that lacks one of the three
+    section headers are rejected."""
     names = _row_names()
     allowed = {TRANSITIONS: (names.contexts, names.outcomes), EMISSIONS: (names.tags, None)}
     tables: dict[str, dict[str, dict]] = {TRANSITIONS: {}, EMISSIONS: {}}
     meta: dict[str, str] = {}
     first_lines: dict[str | tuple[str, str], int] = {}
+    headers = set()
     section = rows = contexts = outcomes = None
     for line_no, raw in numbered:
         cells = raw.split("\t")
@@ -222,6 +224,7 @@ def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value)
             if not raw.strip():
                 continue
             if raw in _SECTIONS:
+                headers.add(raw)
                 section, rows = raw, tables.get(raw)
                 contexts, outcomes = allowed.get(raw, (None, None))
                 continue
@@ -261,6 +264,10 @@ def _data_rows(numbered: Iterator[tuple[int, str]], row_format: str, read_value)
         if outcome in row:
             raise ModelFormatError(f"second {section} row for {context!r} {outcome!r}", line_no)
         row[outcome] = value
+    missing = [header for header in _SECTIONS if header not in headers]
+    if missing:
+        raise ModelFormatError(f"missing section header{'s' * (len(missing) > 1)}: "
+                               + ", ".join(missing))
     return tables[TRANSITIONS], tables[EMISSIONS], meta, first_lines
 
 

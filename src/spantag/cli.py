@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import TaggingError, decode_utf8, read_utf8
+from .errors import TaggingError, decoded, read_utf8
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -32,7 +32,7 @@ EXIT_USAGE = 2
 
 def _read_input(path: str) -> str:
     if path == "-":  # bytes decoded as a file's are, whatever the locale
-        return decode_utf8(sys.stdin.buffer.read(), "standard input")
+        return "".join(decoded(sys.stdin.buffer, "standard input"))
     return read_utf8(path)
 
 
@@ -111,9 +111,15 @@ def cmd_train(args) -> int:
 
     def sentences():  # the corpus a sentence at a time, counted as it is read
         nonlocal count
-        for count, (sentence, _stand_ins) in enumerate(
+        for count, (sentence, stand_ins) in enumerate(
                 corpus_io.iter_vertical(args.corpus, strict=not args.lenient), start=1):
-            yield sentence
+            # Nothing is learnt from a stand-in: each run of pairs between
+            # stand-ins is learnt as a sentence of its own.
+            pairs, start = sentence.pairs, 0
+            for _line_no, _code, position in (*stand_ins, (0, "", len(pairs))):
+                if position > start:
+                    yield corpus_io.TaggedSentence(pairs[start:position])
+                start = position + 1
 
     model = _model.train(
         sentences(), kt=args.kt, ke=args.ke,

@@ -1,15 +1,19 @@
-"""Exception types shared across the toolkit, and the one way to read a
-line-oriented input file.
+"""Exception types shared across the toolkit, and the one way to read an
+input.
 
-`parse_file` reads every input file as strict UTF-8 and puts the file
-name in front of the errors its parser raises.  Parsers cut the text
-with `split_lines`, where only ``\\n`` (or ``\\r\\n``) ends a line, and the
-formats with comments skip what `content_lines` skips: blank lines and
-lines led by ``#``.  `file_lines` gives a file's lines by the same rule
-one at a time, reading and decoding it in chunks, for the readers that
-stream a file.  An error about one line keeps its 1-based number as
-``.line``, and `TaggingError` alone writes it into the message, so every
-report reads ``<file>: line N: <message>``.
+`decoded` is the only code that turns input bytes into text: it reads a
+binary file a chunk at a time and decodes it as strict UTF-8, and a bad
+byte raises a TaggingError that names the input and the line of the
+byte.  `read_utf8` joins its text for a whole file (standard input is
+joined the same way by the CLI), and `parse_file` reads a whole file
+through it and puts the file name in front of the errors its parser
+raises.  Parsers cut the text with `split_lines`, where only
+``\\n`` (or ``\\r\\n``) ends a line, and the formats with comments skip
+what `content_lines` skips: blank lines and lines led by ``#``.
+`file_lines` cuts `decoded`'s chunks into lines by the same rule one at
+a time, for the readers that stream a file.  An error about one line
+keeps its 1-based number as ``.line``, and `TaggingError` alone writes
+it into the message, so every report reads ``<file>: line N: <message>``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import codecs
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -102,52 +106,65 @@ class AlignmentError(TaggingError):
         super().__init__(f"token streams diverge at position {position}{detail}")
 
 
-def decode_utf8(data: bytes, name: str) -> str:
-    """`data` as strict UTF-8, else a TaggingError that names the input
-    and the 1-based line of the first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(name, data.count(b"\n", 0, exc.start) + 1, exc, 0) from None
+_CHUNK_BYTES = 1 << 14  # what `decoded` reads and decodes at a time
 
 
-def _not_utf8(name: str, line: int, exc: UnicodeDecodeError, offset: int) -> TaggingError:
-    """The error for `exc`, raised on bytes that start at byte `offset` of
-    the input, with its byte positions counted from the input's start."""
-    head, at, tail = str(exc).partition(" in position ")
-    positions, colon, reason = tail.partition(":")
-    positions = "-".join(str(int(p) + offset) for p in positions.split("-"))
-    detail = f"{head}{at}{positions}{colon}{reason}"
-    return TaggingError(f"{name} is not valid UTF-8 at line {line}: {detail}")
+def decoded(file: BinaryIO, name: str) -> Iterator[str]:
+    """The text of the binary `file`, decoded as strict UTF-8 a chunk at
+    a time and given as it comes, with its line ends as they are (no
+    newline translation: `split_lines` reads them).  This is the only
+    decoder: every input file and standard input goes through it.  At a
+    byte that is not UTF-8 it first gives the text before that byte, then
+    raises a TaggingError naming `name`, the 1-based line of the byte,
+    and its byte positions counted from the start of the input."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    read = 0
+    while True:
+        chunk = file.read(_CHUNK_BYTES)
+        read += len(chunk)
+        try:
+            text = decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # `exc.object` is this chunk after the bytes the decoder held
+            # back from the last one, which hold no line end
+            data, start = exc.object, exc.start
+            yield data[:start].decode("utf-8")
+            head, at, tail = str(exc).partition(" in position ")
+            positions, colon, reason = tail.partition(":")
+            positions = "-".join(str(int(p) + read - len(data)) for p in positions.split("-"))
+            line += data.count(b"\n", 0, start)
+            raise TaggingError(f"{name} is not valid UTF-8 at line {line}: "
+                               f"{head}{at}{positions}{colon}{reason}") from None
+        if not chunk:
+            return
+        yield text
+        line += chunk.count(b"\n")
 
 
 def read_utf8(path: str | Path) -> str:
-    """A file's text, decoded as strict UTF-8 with its line ends as they
-    are (no newline translation: `split_lines` reads them).  Every input
-    file goes through here, so bytes that are not UTF-8 raise a
-    TaggingError naming the file."""
-    return decode_utf8(Path(path).read_bytes(), str(path))
+    """A file's text, joined from what `decoded` gives.  Every input
+    file goes through here or `file_lines`, so bytes that are not UTF-8
+    raise a TaggingError naming the file."""
+    with open(path, "rb") as file:
+        return "".join(decoded(file, str(path)))
 
 
 def split_lines(text: str) -> list[str]:
     """`text` cut at each ``\\n``, with one ``\\r`` before it dropped, so a
     CRLF file reads as its LF copy.  No other character ends a line, as in
-    `decode_utf8` and unlike `str.splitlines`; a final ``\\n`` is
-    followed by one last, empty line."""
+    `decoded`'s line numbers and unlike `str.splitlines`; a final ``\\n``
+    is followed by one last, empty line."""
     return text.replace("\r\n", "\n").split("\n")
-
-
-_CHUNK_BYTES = 1 << 14  # what `file_lines` reads and decodes at a time
 
 
 def file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each line of a file, cut as `split_lines`
-    cuts its text, read and decoded as strict UTF-8 a chunk at a time: the
-    memory it holds is a chunk and the line that runs past it, whatever the
-    file's size.  A byte that is not UTF-8 raises the TaggingError that
-    `read_utf8` raises for the whole file, once the lines before it have
-    been given, so a fault in an earlier line is met first at any chunk
-    size."""
+    cuts its text from the chunks `decoded` gives: the memory it holds is a
+    chunk and the line that runs past it, whatever the file's size.  A byte
+    that is not UTF-8 raises `decoded`'s TaggingError once the lines before
+    it have been given, so a fault in an earlier line is met first at any
+    chunk size."""
     # Each chunk's lines are numbered and chained in C: yielding them one by
     # one from a generator cost 0.2 ms of the 7.5 ms that reading the 7.7k
     # lines of the news-stream gold takes (2 vCPUs, CPython 3.11).
@@ -156,21 +173,10 @@ def file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 def _numbered_chunks(path: str | Path) -> Iterator[Iterable[tuple[int, str]]]:
     """The numbered lines of `file_lines`, one iterable per chunk."""
-    name = str(path)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line_no = read = 0
+    line_no = 0
     rest: list[str] = []  # the text of the line not yet ended
     with open(path, "rb") as file:
-        while True:
-            chunk = file.read(_CHUNK_BYTES)
-            read += len(chunk)
-            error = None
-            try:
-                text = decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # `exc.object` is the chunk after the bytes the decoder held back
-                error, offset = exc, read - len(exc.object)
-                text = exc.object[:exc.start].decode("utf-8")
+        for text in decoded(file, str(path)):
             if "\n" in text:
                 # a "\r\n" split across chunks meets again in the joined text
                 lines = split_lines("".join([*rest, text]))
@@ -179,11 +185,7 @@ def _numbered_chunks(path: str | Path) -> Iterator[Iterable[tuple[int, str]]]:
                 line_no += len(lines)
             else:
                 rest.append(text)
-            if error is not None:
-                raise _not_utf8(name, line_no + 1, error, offset)
-            if not chunk:
-                yield ((line_no + 1, "".join(rest)),)
-                return
+    yield ((line_no + 1, "".join(rest)),)
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -172,6 +172,43 @@ def test_train_reports_stats(tmp_path, gold_file, capsys):
     assert model_path.exists()
 
 
+def test_train_lenient_learns_nothing_from_a_stand_in(tmp_path, capsys):
+    """Each run of pairs between stand-ins is trained as a sentence of its
+    own, so the model has no row for the stand-in `PNC`, keeps the
+    transitions and emissions around it consistent, and loads."""
+    (tmp_path / "lenient").mkdir()
+    (tmp_path / "runs").mkdir()
+    lenient, runs = tmp_path / "lenient" / "gold.vrt", tmp_path / "runs" / "gold.vrt"
+    lenient.write_text("la\tARTDFS\nmesa\tXXX\n.\t.\n\nXXX\tXXX\n\n", encoding="utf-8")
+    runs.write_text("la\tARTDFS\n\n.\t.\n", encoding="utf-8")
+    for corpus in (lenient, runs):
+        argv = ["train", "--corpus", str(corpus), "--model", str(corpus.with_suffix(".model"))]
+        assert main(argv + ["--lenient"] * (corpus == lenient)) == 0
+    assert capsys.readouterr().out == (
+        "sentences\t2\ntokens\t2\nvocabulary\t2\ntags-seen\t2\n"
+        "sentences\t2\ntokens\t2\nvocabulary\t2\ntags-seen\t2\n"
+    )
+    text = lenient.with_suffix(".model").read_text(encoding="utf-8")
+    assert "PNC" not in text
+    assert text == runs.with_suffix(".model").read_text(encoding="utf-8")
+    tagger.load_model(lenient.with_suffix(".model"))
+
+
+def test_train_lenient_model_of_a_workload_loads_without_stand_ins(tmp_path, capsys):
+    """The news-stream gold with about one tag in twenty unknown: its
+    lenient model names no `PNC`, loads, and re-saves to the same bytes."""
+    from test_corpus_io import _lenient_copy
+    corpus, model = tmp_path / "gold.vrt", tmp_path / "lenient.model"
+    corpus.write_text(_lenient_copy(synth.generate("news-stream", 1).files["gold.vrt"], 1),
+                      encoding="utf-8")
+    assert corpus_io.read_vertical(corpus, strict=False).stand_ins
+    assert main(["train", "--corpus", str(corpus), "--model", str(model), "--lenient"]) == 0
+    capsys.readouterr()
+    assert "PNC" not in model.read_text(encoding="utf-8")
+    tagger.save_model(tagger.load_model(model), tmp_path / "resaved.model")
+    assert (tmp_path / "resaved.model").read_bytes() == model.read_bytes()
+
+
 def test_tag_inverted_question(tmp_path, model_file, capsys):
     src = tmp_path / "in.txt"
     src.write_text("¿Dónde está Juan?", encoding="utf-8")

@@ -1,7 +1,9 @@
 """One way to read an input line and report a bad one, for every loader:
 the error type, its ``.line``, the CLI message, and what a line is."""
 
+import io
 import random
+import sys
 
 import pytest
 
@@ -17,8 +19,9 @@ from spantag.errors import (
     TaggingError,
     UnknownTag,
     VerticalFormatError,
-    decode_utf8,
+    decoded,
     file_lines,
+    read_utf8,
     split_lines,
 )
 from spantag.lexicon import load_lexicon
@@ -220,36 +223,117 @@ def test_file_lines_cuts_as_split_lines_at_any_chunk_size(tmp_path, monkeypatch,
             assert list(file_lines(path)) == list(enumerate(split_lines(text), start=1)), text
 
 
+def reference_decode(data: bytes, name: str) -> str:
+    """`data` as strict UTF-8, else the TaggingError every input reader
+    raised when each decoded its whole input at once.  The decoder of that
+    time is kept here, so the oracle does not follow `errors.decoded`; with
+    the whole input in one buffer, its byte positions need no shift."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TaggingError(f"{name} is not valid UTF-8 at line {line}: {exc}") from None
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_every_reader_decodes_as_the_whole_buffer_does(tmp_path, monkeypatch, chunk):
+    """`read_utf8`, and `decoded` on a stream as standard input is read,
+    give the text of the whole buffer at any chunk size, with a CRLF or a
+    character of two to four bytes cut across two chunks; each piece
+    `decoded` gives is one chunk and the at most 3 bytes held back before it."""
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "text.txt"
+    for text in seeded_texts(3):
+        if chunk == errors._CHUNK_BYTES:
+            text *= chunk // max(len(text), 1) + 2
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        assert read_utf8(path) == reference_decode(data, str(path)) == text
+        pieces = list(decoded(io.BytesIO(data), "standard input"))
+        assert "".join(pieces) == text
+        assert all(len(piece.encode("utf-8")) <= chunk + 3 for piece in pieces)
+
+
 # Bytes no UTF-8 text holds here: a stray or invalid lead byte, a sequence cut
 # short by ASCII, a bad second byte, an encoded surrogate, a lone lead at the end.
 BAD_BYTES = [b"\xff", b"\x80", b"\xe2\x82", b"\xf0\x80\x80", b"\xed\xa0\x80", b"\xc3"]
 
 
-@pytest.mark.parametrize("chunk", CHUNK_SIZES)
-def test_file_lines_reports_a_bad_byte_as_the_whole_file_does(tmp_path, monkeypatch, chunk):
-    """At and around each chunk boundary, and at the end, a bad byte gives
-    the message, line and byte position `decode_utf8` gives for the whole
-    file, after the lines before its own."""
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+def bad_inputs(chunk: int):
+    """Inputs with each of `BAD_BYTES` at and around the first three chunk
+    boundaries, at the start and at the end."""
     unit = "la\r\nmesa é€𝄞\n".encode("utf-8")
     good = unit * (3 * chunk // len(unit) + 2)
     places = {k * chunk + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)} | {0, len(good)}
-    path = tmp_path / "bad.txt"
     for bad in BAD_BYTES:
         for at in sorted(p for p in places if 0 <= p <= len(good)):
-            data = good[:at] + bad + good[at:]
-            with pytest.raises(TaggingError) as whole:
-                decode_utf8(data, str(path))
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                before = split_lines(data[:exc.start].decode("utf-8"))[:-1]
+            yield good[:at] + bad + good[at:]
+
+
+def text_before_the_bad_byte(data: bytes) -> str:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data[:exc.start].decode("utf-8")
+    raise AssertionError("no bad byte")
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_file_lines_reports_a_bad_byte_as_the_whole_file_does(tmp_path, monkeypatch, chunk):
+    """At and around each chunk boundary, and at the end, a bad byte gives
+    the message, line and byte position `reference_decode` gives for the
+    whole file, after the lines before its own."""
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "bad.txt"
+    for data in bad_inputs(chunk):
+        with pytest.raises(TaggingError) as whole:
+            reference_decode(data, str(path))
+        before = split_lines(text_before_the_bad_byte(data))[:-1]
+        path.write_bytes(data)
+        read = []
+        with pytest.raises(TaggingError) as streamed:
+            read.extend(file_lines(path))
+        assert str(streamed.value) == str(whole.value), data
+        assert read == list(enumerate(before, start=1)), data
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_decoded_gives_the_text_before_a_bad_byte_then_raises(monkeypatch, chunk):
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    for data in bad_inputs(chunk):
+        with pytest.raises(TaggingError) as whole:
+            reference_decode(data, "standard input")
+        read = []
+        with pytest.raises(TaggingError) as streamed:
+            read.extend(decoded(io.BytesIO(data), "standard input"))
+        assert str(streamed.value) == str(whole.value), data
+        assert "".join(read) == text_before_the_bad_byte(data), data
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@pytest.mark.parametrize("source", ["read_utf8", "tokenize -", "tag -"])
+def test_a_bad_byte_in_a_whole_input_reads_as_the_reference(
+        tmp_path, monkeypatch, capsys, source, chunk):
+    """A file read whole, and the text of `tokenize -` and `tag -` read from
+    standard input, report a bad byte with the message, line and byte
+    positions of `reference_decode`, and the commands write nothing."""
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    path, model = tmp_path / "bad.txt", tmp_path / "toy.model"
+    model.write_text(model_to_counts_text(toy_model()), encoding="utf-8")
+    argv = {"tokenize -": ["tokenize", "-"], "tag -": ["tag", "-", "--model", str(model)]}
+    for data in bad_inputs(chunk):
+        name = str(path) if source == "read_utf8" else "standard input"
+        with pytest.raises(TaggingError) as whole:
+            reference_decode(data, name)
+        if source == "read_utf8":
             path.write_bytes(data)
-            read = []
-            with pytest.raises(TaggingError) as streamed:
-                read.extend(file_lines(path))
-            assert str(streamed.value) == str(whole.value), (bad, at)
-            assert read == list(enumerate(before, start=1)), (bad, at)
+            with pytest.raises(TaggingError) as read:
+                read_utf8(path)
+            assert str(read.value) == str(whole.value), data
+            continue
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(argv[source]) == 2
+        assert capsys.readouterr() == ("", f"spantag: {whole.value}\n"), data
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)

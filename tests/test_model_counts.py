@@ -293,6 +293,28 @@ def test_counts_loader_rejects_counts_with_no_sentence(text):
     assert err.value.line is None
 
 
+# Files that lack section headers, and the message that names them.
+HEADERLESS_FILES = {
+    "empty": ("", "missing section headers: TRANSITIONS, EMISSIONS, META"),
+    "blank-lines": ("\n\n \t\n", "missing section headers: TRANSITIONS, EMISSIONS, META"),
+    "counts-line": ("COUNTS\n", "missing section headers: TRANSITIONS, EMISSIONS, META"),
+    "no-meta": ("COUNTS\nTRANSITIONS\nEMISSIONS\n", "missing section header: META"),
+    "no-emissions": ("COUNTS\nTRANSITIONS\n<s>\t</s>\t1\nMETA\nkt\t0.5\nke\t0.1\n",
+                     "missing section header: EMISSIONS"),
+}
+
+
+@pytest.mark.parametrize("case", HEADERLESS_FILES)
+def test_a_file_without_a_section_header_says_so(tmp_path, capsys, case):
+    from spantag.cli import main
+    text, message = HEADERLESS_FILES[case]
+    model, src = tmp_path / "bad.model", tmp_path / "in.txt"
+    model.write_text(text, encoding="utf-8")
+    src.write_text("la mesa .\n", encoding="utf-8")
+    assert main(["tag", str(src), "--model", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"spantag: {model}: {message}\n")
+
+
 def test_v1_file_keeps_a_zero_meta_count(toy_corpus):
     lines = model_to_text(train(toy_corpus)).splitlines()
     lines.insert(lines.index("count.ARTDFS\t3"), "count.ADVN\t0")
