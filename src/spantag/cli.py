@@ -11,8 +11,9 @@ model code (`_model`) and the corpus reader, never the model-file
 reader, the decoder, the lexicon, the tokenizer or the feature
 registry; `validate` and `eval` load only the corpus reader and the tag
 table (`_core`); `--help` loads no module but this one and `errors`.
-`train` and `validate` read the corpus one sentence at a time, so they
-hold a sentence and the model or their reports, never the whole file.
+`train`, `validate` and `eval` read a corpus one sentence at a time, so
+they hold a sentence and the model, their reports or the confusion
+counts, never the whole file.
 """
 
 from __future__ import annotations
@@ -113,13 +114,8 @@ def cmd_train(args) -> int:
         nonlocal count
         for count, (sentence, stand_ins) in enumerate(
                 corpus_io.iter_vertical(args.corpus, strict=not args.lenient), start=1):
-            # Nothing is learnt from a stand-in: each run of pairs between
-            # stand-ins is learnt as a sentence of its own.
-            pairs, start = sentence.pairs, 0
-            for _line_no, _code, position in (*stand_ins, (0, "", len(pairs))):
-                if position > start:
-                    yield corpus_io.TaggedSentence(pairs[start:position])
-                start = position + 1
+            # nothing is learnt from a stand-in, so each run around them is a sentence
+            yield from (run for _offset, run in corpus_io.runs(sentence, stand_ins))
 
     model = _model.train(
         sentences(), kt=args.kt, ke=args.ke,
@@ -169,23 +165,21 @@ def cmd_validate(args) -> int:
             unknown.append(f"line {line_no}: unknown tag {code!r}\n")
         if ruleset is None:
             continue
-        tags = [tag for _token, tag in sentence.pairs]
-        stood_in = {position for _line_no, _code, position in stand_ins}
-        for position, rule_id in ruleset.validate_sequence(tags):
-            # the file holds no pair with a stand-in for an unknown tag
-            if position in stood_in or position + 1 in stood_in:
-                continue
-            pairs.append(
-                f"sentence {s_index}, token {position}: pair "
-                f"'{tags[position].code} {tags[position + 1].code}' "
-                f"violates rule at line {rule_id}\n"
-            )
+        # the file holds no pair with a stand-in for an unknown tag
+        for offset, run in corpus_io.runs(sentence, stand_ins):
+            tags = run.tags
+            for position, rule_id in ruleset.validate_sequence(tags):
+                pairs.append(
+                    f"sentence {s_index}, token {offset + position}: pair "
+                    f"'{tags[position].code} {tags[position + 1].code}' "
+                    f"violates rule at line {rule_id}\n"
+                )
     sys.stdout.writelines(unknown)
     sys.stdout.writelines(pairs)
     sys.stdout.flush()  # a closed pipe ends the run before the summary
     violations = len(unknown) + len(pairs)
     print(
-        f"spantag validate: {violations} violation(s) in {Path(args.path)}",
+        f"spantag validate: {violations} violation(s) in {args.path}",
         file=sys.stderr,
     )
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -193,12 +187,12 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import corpus_io
-    gold = corpus_io.read_vertical(args.gold, strict=not args.lenient)
-    pred = corpus_io.read_vertical(args.pred, strict=not args.lenient)
-    lex = None
-    if args.lexicon:
-        lex = _load_lexicon(args.lexicon, seed_only=False)
-    report = corpus_io.evaluate(gold, pred, lexicon=lex)
+    # The lexicon loads first, as `validate` loads its rules, so of a bad
+    # lexicon and a bad corpus it is the lexicon that is named.
+    lex = _load_lexicon(args.lexicon, seed_only=False) if args.lexicon else None
+    gold, pred = (corpus_io.iter_vertical(path, strict=not args.lenient)
+                  for path in (args.gold, args.pred))
+    report = corpus_io.evaluate_sentences(gold, pred, lexicon=lex)
     sys.stdout.write(corpus_io.format_report(report))
     return EXIT_OK
 

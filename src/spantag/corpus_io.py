@@ -8,13 +8,18 @@ lenient reading substitutes the unclassified tag for each of them and
 records where each stand-in sits.  `iter_vertical` reads a file one
 sentence at a time; `read_vertical` and `parse_vertical` collect the
 same sentences into a `VerticalDocument`.
+
+This module alone says what a stand-in means to the commands that read
+a corpus leniently: nothing is learnt from it or rule-checked across it
+(`runs`, for `train` and `validate`), and it is scored by the code the
+file holds (`evaluate_sentences`, for `eval`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -129,13 +134,22 @@ def iter_vertical(path: str | Path, strict: bool = True) -> Iterator[ReadSentenc
     (`errors.file_lines`), so the memory held is one sentence and the
     distinct surfaces, not the file.  Errors are those of `read_vertical`,
     raised when the reading reaches them."""
-    path = Path(path)
     try:
         yield from _sentences(file_lines(path), strict)
     except TaggingError as exc:
         if exc.line is not None:  # a bad line; the UTF-8 error names the file itself
             exc.args = (f"{path}: {exc}",)
         raise
+
+
+def runs(sentence: TaggedSentence,
+         stand_ins: Iterable[StandIn]) -> list[tuple[int, TaggedSentence]]:
+    """Each run of `sentence`'s pairs between its `stand_ins` that holds a
+    pair, as a sentence of its own, with the index of its first pair in
+    `sentence`.  With no stand-in, that is the whole sentence at 0."""
+    bounds = [-1, *(position for _line_no, _code, position in stand_ins), len(sentence.pairs)]
+    return [(start + 1, TaggedSentence(sentence.pairs[start + 1:end]))
+            for start, end in zip(bounds, bounds[1:]) if end > start + 1]
 
 
 def _document(sentences: Iterable[ReadSentence]) -> VerticalDocument:
@@ -187,8 +201,33 @@ class EvalReport:
     unknown_accuracy: float | None = None
 
 
-def _pairs(doc: VerticalDocument) -> Iterator[tuple[Token, Tag]]:
-    return (pair for sentence in doc.sentences for pair in sentence.pairs)
+def _with_stand_ins(doc: VerticalDocument) -> Iterator[ReadSentence]:
+    """`doc`'s sentences with their stand-ins, as `iter_vertical` gives them."""
+    marks: dict[int, list[StandIn]] = {}
+    for line_no, code, s_index, position in doc.stand_ins:
+        marks.setdefault(s_index, []).append((line_no, code, position))
+    return ((sentence, marks.get(s_index, ())) for s_index, sentence in enumerate(doc.sentences))
+
+
+Coded = list[tuple[str, str]]  # a sentence's (surface, tag code) pairs
+
+
+def _coded(sentences: Iterable[ReadSentence]) -> Iterator[Coded]:
+    """``(surface, tag code)`` of each token, a sentence at a time, a
+    stand-in's code being the one the file holds."""
+    for sentence, stand_ins in sentences:
+        pairs = [(token.surface, tag.code) for token, tag in sentence.pairs]
+        for _line_no, code, position in stand_ins:
+            pairs[position] = pairs[position][0], code
+        yield pairs
+
+
+def _caught(stream: Iterator[Coded], faults: list[Exception]) -> Iterator[Coded]:
+    """`stream` up to its first fault, which is put in `faults`."""
+    try:
+        yield from stream
+    except (TaggingError, OSError) as exc:
+        faults.append(exc)
 
 
 def evaluate(
@@ -196,29 +235,54 @@ def evaluate(
     pred: VerticalDocument,
     lexicon: Lexicon | None = None,
 ) -> EvalReport:
-    """Token-level exact-match accuracy of pred against gold.
+    """`evaluate_sentences` of two documents."""
+    return evaluate_sentences(_with_stand_ins(gold), _with_stand_ins(pred), lexicon)
+
+
+def evaluate_sentences(
+    gold: Iterable[ReadSentence],
+    pred: Iterable[ReadSentence],
+    lexicon: Lexicon | None = None,
+) -> EvalReport:
+    """Token-level exact-match accuracy of pred against gold, sentences
+    with their stand-ins as `iter_vertical` gives them.
 
     Token streams must be identical; unknown-token accuracy is computed
-    over tokens absent from `lexicon` when one is supplied.  Both
-    documents are walked once, side by side, without copying them.
+    over tokens absent from `lexicon` when one is supplied.  A stand-in
+    is scored by the code the file holds, so two different unknown codes
+    never match.  Both are walked once, in step, a sentence at a time.
+    Faults come in the order of reading gold whole, then pred, then
+    comparing them: a fault in gold is raised as it is met, and at a
+    fault in pred or a misalignment the rest of gold and then of pred is
+    read, so that a fault in either is raised first.
     """
     confusion: dict[tuple[str, str], int] = {}
     total = correct = unknown_count = unknown_correct = 0
-    for gold_pair, pred_pair in zip_longest(_pairs(gold), _pairs(pred)):
-        if gold_pair is None or pred_pair is None:
-            raise AlignmentError(total, "token streams have different lengths")
-        (gold_token, gold_tag), (pred_token, pred_tag) = gold_pair, pred_pair
-        surface = gold_token.surface
-        if surface != pred_token.surface:
-            raise AlignmentError(total, f"{surface!r} vs {pred_token.surface!r}")
-        key = (gold_tag.code, pred_tag.code)
+    faults: list[Exception] = []
+    gold_pairs = chain.from_iterable(_coded(gold))
+    pred_pairs = chain.from_iterable(_caught(_coded(pred), faults))
+    for gold_pair, pred_pair in zip_longest(gold_pairs, pred_pairs):
+        if gold_pair is None or pred_pair is None or gold_pair[0] != pred_pair[0]:
+            # a misalignment, or pred ended at a fault: a later fault in
+            # gold, then one in pred, comes first
+            for _pair in chain(gold_pairs, pred_pairs):
+                pass
+            if faults:
+                raise faults[0]
+            raise AlignmentError(total, f"{gold_pair[0]!r} vs {pred_pair[0]!r}"
+                                 if gold_pair and pred_pair
+                                 else "token streams have different lengths")
+        surface, gold_code = gold_pair
+        key = (gold_code, pred_pair[1])
         confusion[key] = confusion.get(key, 0) + 1
-        hit = key[0] == key[1]
+        hit = gold_code == key[1]
         correct += hit
         if lexicon is not None and lexicon.lookup(surface) is None:
             unknown_count += 1
             unknown_correct += hit
         total += 1
+    if faults:  # met after pred's last token
+        raise faults[0]
     return EvalReport(
         token_count=total,
         correct=correct,

@@ -146,7 +146,7 @@ def parse_lexicon(text: str, include_seed: bool = True) -> Lexicon:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """A lexicon file's entries with the built-in seed merged beneath them."""
-    return parse_file(Path(path), parse_lexicon)
+    return parse_file(path, parse_lexicon)
 
 
 # Ordered suffix rules for open-class guessing.  First match wins; a rule

@@ -376,6 +376,76 @@ def test_eval_with_seed_lexicon_unknown_accuracy(gold_file, capsys):
     assert "unknown-accuracy\t1.000000" in out
 
 
+@pytest.mark.parametrize("pred_code, correct, row", [
+    ("YYY", 2, "XXX\tYYY\t1"),
+    ("PNC", 2, "XXX\tPNC\t1"),
+    ("XXX", 3, "XXX\tXXX\t1"),
+], ids=["other-code", "genuine-PNC", "same-code"])
+def test_eval_lenient_scores_the_codes_the_files_hold(tmp_path, capsys, pred_code, correct, row):
+    """A stand-in is scored by its code, not as the `PNC` put in its place:
+    two different unknown codes, or an unknown code and a genuine `PNC`,
+    never match, and the confusion matrix names the code."""
+    gold, pred = tmp_path / "gold.vrt", tmp_path / "pred.vrt"
+    gold.write_text("la\tARTDFS\nmesa\tXXX\n.\t.\n\n", encoding="utf-8")
+    pred.write_text(f"la\tARTDFS\nmesa\t{pred_code}\n.\t.\n\n", encoding="utf-8")
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--lenient"]) == 0
+    out = capsys.readouterr().out
+    assert f"correct\t{correct}\n" in out
+    assert f"\n{row}\n" in out
+    assert "PNC\tPNC" not in out
+
+
+SENTENCES = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\n" * 3000  # 12,000 lines, several chunks
+MISALIGNED = "el" + SENTENCES[2:]
+BAD_LINE = "mesa NCFS\n"
+TAB_ERROR = "line 12001: expected exactly one tab per line"
+
+
+@pytest.mark.parametrize("gold, pred, error", [
+    pytest.param(SENTENCES + BAD_LINE, "la ARTDFS\n" + SENTENCES, f"gold.vrt: {TAB_ERROR}",
+                 id="early-bad-pred-line-late-bad-gold-line"),
+    pytest.param(SENTENCES + BAD_LINE, MISALIGNED, f"gold.vrt: {TAB_ERROR}",
+                 id="early-misalignment-late-bad-gold-line"),
+    pytest.param(SENTENCES, MISALIGNED + BAD_LINE, f"pred.vrt: {TAB_ERROR}",
+                 id="early-misalignment-late-bad-pred-line"),
+    pytest.param(SENTENCES + BAD_LINE, None, f"gold.vrt: {TAB_ERROR}",
+                 id="missing-pred-bad-gold-line"),
+    pytest.param(SENTENCES, SENTENCES + "\udcff", "pred.vrt is not valid UTF-8 at line 12001: "
+                 "'utf-8' codec can't decode byte 0xff in position 75000: invalid start byte",
+                 id="bad-byte-after-the-last-pred-token"),
+    pytest.param(SENTENCES + BAD_LINE, SENTENCES[:100], f"gold.vrt: {TAB_ERROR}",
+                 id="short-pred-late-bad-gold-line"),
+    pytest.param(SENTENCES, MISALIGNED, "token streams diverge at position 0: 'la' vs 'el'",
+                 id="early-misalignment"),
+    pytest.param(SENTENCES, None, "[Errno 2] No such file or directory: 'pred.vrt'",
+                 id="missing-pred"),
+])
+def test_eval_reads_in_step_with_the_errors_of_whole_reads(tmp_path, monkeypatch, capsys,
+                                                           gold, pred, error):
+    """Gold and pred are read together, a sentence at a time, and the error
+    is the one reading gold whole, then pred, then comparing them gives: a
+    fault in gold before one in pred, and one in pred before a
+    misalignment, wherever each sits."""
+    monkeypatch.chdir(tmp_path)
+    Path("gold.vrt").write_bytes(gold.encode("utf-8", "surrogateescape"))
+    if pred is not None:
+        Path("pred.vrt").write_bytes(pred.encode("utf-8", "surrogateescape"))
+    assert main(["eval", "--gold", "gold.vrt", "--pred", "pred.vrt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spantag: {error}\n"
+
+
+def test_eval_loads_the_lexicon_before_the_corpora(tmp_path, monkeypatch, capsys):
+    """As `validate` loads its rules first, so of a bad lexicon and a bad
+    corpus the lexicon is named."""
+    monkeypatch.chdir(tmp_path)
+    Path("gold.vrt").write_text("la ARTDFS\n", encoding="utf-8")
+    Path("lex.tsv").write_text("mesa\tBOGUS\n", encoding="utf-8")
+    assert main(["eval", "--gold", "gold.vrt", "--pred", "gold.vrt", "--lexicon", "lex.tsv"]) == 2
+    assert capsys.readouterr().err == "spantag: lex.tsv: line 1: unknown tag 'BOGUS'\n"
+
+
 def test_tag_non_integer_meta_count_exits_2(tmp_path, model_file, capsys):
     src = tmp_path / "in.txt"
     src.write_text("La mesa .", encoding="utf-8")
@@ -621,8 +691,15 @@ def test_rule_pattern_matching_no_tag_exits_2(tmp_path, model_file, capsys, comm
     )
 
 
-@pytest.mark.parametrize("kind", ["lexicon", "rules", "model", "gold", "pred", "corpus"])
-def test_load_error_names_the_file(tmp_path, model_file, gold_file, capsys, kind):
+LOADED = ["lexicon", "rules", "model", "gold", "pred", "corpus"]
+
+
+@pytest.mark.parametrize("kind, relative", [pytest.param(kind, False, id=kind) for kind in LOADED]
+                         + [pytest.param(kind, True, id=f"{kind}-dot-relative") for kind in LOADED])
+def test_load_error_names_the_file(tmp_path, monkeypatch, model_file, gold_file, capsys,
+                                   kind, relative):
+    """The file is named as it was given, a leading `./` included."""
+    monkeypatch.chdir(tmp_path)
     src = tmp_path / "in.txt"
     src.write_text("la mesa .", encoding="utf-8")
     bad = tmp_path / f"bad-{kind}.txt"
@@ -634,19 +711,26 @@ def test_load_error_names_the_file(tmp_path, model_file, gold_file, capsys, kind
         "pred": "la\tARTDFS\nmesa\tNCFZ\n",
         "corpus": "la\tARTDFS\nmesa NCFS\n",
     }[kind], encoding="utf-8")
+    named = f"./{bad.name}" if relative else str(bad)
     tag = ["tag", str(src), "--model", str(model_file)]
     argv = {
-        "lexicon": tag + ["--lexicon", str(bad)],
-        "rules": tag + ["--rules", str(bad)],
-        "model": ["tag", str(src), "--model", str(bad)],
-        "gold": ["eval", "--gold", str(bad), "--pred", str(gold_file)],
-        "pred": ["eval", "--gold", str(gold_file), "--pred", str(bad)],
-        "corpus": ["train", "--corpus", str(bad), "--model", str(tmp_path / "new.model")],
+        "lexicon": tag + ["--lexicon", named],
+        "rules": tag + ["--rules", named],
+        "model": ["tag", str(src), "--model", named],
+        "gold": ["eval", "--gold", named, "--pred", str(gold_file)],
+        "pred": ["eval", "--gold", str(gold_file), "--pred", named],
+        "corpus": ["train", "--corpus", named, "--model", str(tmp_path / "new.model")],
     }[kind]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"spantag: {bad}: line 2: ")
+    assert captured.err.startswith(f"spantag: {named}: line 2: ")
+
+
+def test_validate_names_the_path_as_given(tmp_path, monkeypatch, gold_file, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "./gold.vrt"]) == 0
+    assert capsys.readouterr().err == "spantag validate: 0 violation(s) in ./gold.vrt\n"
 
 
 def test_train_rejects_unknown_symbol_form_exits_2(tmp_path, capsys):
@@ -740,6 +824,21 @@ def test_tag_rejects_a_meta_number_spelled_otherwise_exits_2(tmp_path, model_fil
     )
 
 
+# what `train` writes for `la ARTDFS` / `mesa NCFS` / `. .`
+TOY_COUNTS = (
+    "COUNTS\nTRANSITIONS\n<s>\tARTDFS\t1\n.\t</s>\t1\nARTDFS\tNCFS\t1\nNCFS\t.\t1\n"
+    "EMISSIONS\n.\t.\t1\nARTDFS\tla\t1\nNCFS\tmesa\t1\n"
+    "META\ncorpus\ttoy.vrt\ntokens\t3\nkt\t0.5\nke\t0.1\n"
+    "count..\t1\ncount.ARTDFS\t1\ncount.NCFS\t1\n"
+)
+# the toy counts with a loop no sentence reaches, its counts balanced
+UNREACHED_LOOP = (
+    TOY_COUNTS.replace("NCFS\t.\t1\n", "NCFS\t.\t1\nADVN\tADVN\t1\n")
+    .replace("NCFS\tmesa\t1\n", "NCFS\tmesa\t1\nADVN\tbien\t1\n")
+    .replace("tokens\t3", "tokens\t4") + "count.ADVN\t1\n"
+)
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param("COUNTS\nTRANSITIONS\nEMISSIONS\nMETA\ntokens\t0\nkt\t0.5\nke\t0.1\n",
                  "no transition leaves <s>: the counts hold no sentence", id="empty"),
@@ -751,6 +850,17 @@ def test_tag_rejects_a_meta_number_spelled_otherwise_exits_2(tmp_path, model_fil
                  "count.NCFS\t1\n",
                  "line 11: count.ADVN is 0: a counts file lists only tags seen in training",
                  id="zero-count"),
+    pytest.param("COUNTS\nTRANSITIONS\n<s>\t</s>\t1\nEMISSIONS\nMETA\nkt\t0.5\nke\t0.1\n",
+                 "line 3: <s> leads straight to </s>: no sentence is empty", id="empty-sentence"),
+    pytest.param(TOY_COUNTS.replace("<s>\tARTDFS\t1\n", "<s>\tARTDFS\t1\n<s>\t</s>\t1\n"),
+                 "line 4: <s> leads straight to </s>: no sentence is empty",
+                 id="a-sentence-and-an-empty-one"),
+    pytest.param(UNREACHED_LOOP, "line 7: tag 'ADVN' is not reached from <s>: no sentence holds it",
+                 id="unreached-loop"),
+    # read row by row, out of `save_model`'s layout, with the same message and line
+    pytest.param(UNREACHED_LOOP.replace("\n", "\r\n"),
+                 "line 7: tag 'ADVN' is not reached from <s>: no sentence holds it",
+                 id="unreached-loop-crlf"),
 ])
 def test_tag_rejects_counts_no_corpus_gives_exits_2(tmp_path, capsys, text, message):
     src = tmp_path / "in.txt"
