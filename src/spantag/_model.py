@@ -1,11 +1,11 @@
 """The bigram HMM's parameters: training, smoothing, and writing model files.
 
 `train` counts a tagged corpus and add-k smooths the counts into an
-`HmmModel`.  A model is saved as its counts (a ``COUNTS`` file) or, when
-it has none, as v1 log-probability rows.  Reading either back is
-`_model_reader`'s job, and decoding is `tagger`'s, which re-exports the
-names of both; so `spantag train` compiles neither the reader nor the
-decoder, the lexicon or the tokenizer.
+`HmmModel`.  A model is saved as its counts (a ``COUNTS`` file), the only
+format written; older v1 log-probability files are read only.  Reading
+either is `_model_reader`'s job, and decoding is `tagger`'s, which
+re-exports the names of both; so `spantag train` compiles neither the
+reader nor the decoder, the lexicon or the tokenizer.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ class HmmModel:
     must sum to 1 within 1e-9.  `kt` and `ke` must be finite and above 0,
     no add-k denominator may overflow, and no probability or tag prior may
     be zero or subnormal.
-    A model built from rows, here or from a v1 file, carries no counts:
-    only `train` and the counts-file loader make a counts model (through
-    `_smoothed_model`).  `transition_counts` and `emission_counts` are
-    flat ``(context, outcome) -> n`` copies of a counts model's counts,
-    empty for any other model.
+    A model built from rows, here or from a v1 file, carries no counts,
+    so it can tag but not be saved: only `train` and the counts-file
+    loader make a counts model (through `_smoothed_model`).
+    `transition_counts` and `emission_counts` are flat
+    ``(context, outcome) -> n`` copies of a counts model's counts, empty
+    for any other model.
     """
 
     def __init__(self, transitions: dict[str, dict[str, float]],
@@ -308,43 +309,28 @@ def _meta_lines(model: HmmModel, order: dict[str, int]) -> list[str]:
 
 
 def model_to_text(model: HmmModel) -> str:
-    """Serialize a model as v1 probability rows: TRANSITIONS / EMISSIONS /
-    META sections.
-
-    Probability rows are ``context<TAB>outcome<TAB>log10-prob``.  META
-    rows are ``key<TAB>value`` and carry the smoothing constants plus the
-    sparse per-tag training counts needed to rebuild tag priors.
-    """
-    return "".join(_v1_blocks(model))
-
-
-def _v1_blocks(model: HmmModel) -> Iterator[str]:
-    """`model_to_text` as blocks of whole lines: a section header, a
-    context's rows, then META."""
-    order = _row_names().order
-    for section, rows in ((TRANSITIONS, model.transitions), (EMISSIONS, model.emissions)):
-        yield section + "\n"
-        for context in sorted(rows, key=order.__getitem__):
-            yield "".join([f"{context}\t{outcome}\t{math.log10(prob)!r}\n"
-                           for outcome, prob in rows[context].items()])
-    yield "\n".join(_meta_lines(model, order)) + "\n"
-
-
-def model_to_counts_text(model: HmmModel) -> str:
     """Serialize a model's training counts: a ``COUNTS`` marker line, then
     TRANSITIONS / EMISSIONS / META sections.
 
     Count rows are ``context<TAB>outcome<TAB>count``, one per pair seen in
-    training, in registry order (forms sorted within a tag).  META is as
-    in `model_to_text`.  Unseen outcomes are implied by add-k smoothing,
-    which the loader redoes exactly as `train` does.
+    training, in registry order (forms sorted within a tag).  META rows
+    are ``key<TAB>value`` and carry the corpus name, the token count, the
+    smoothing constants and the per-tag counts.  Unseen outcomes are
+    implied by add-k smoothing, which the loader redoes exactly as `train`
+    does.  A model without counts (one loaded from a v1 file or built from
+    rows) cannot be written: v1 is read only.
     """
     return "".join(_counts_blocks(model))
 
 
 def _counts_blocks(model: HmmModel) -> Iterator[str]:
-    """`model_to_counts_text` as blocks of whole lines: the marker, a
-    section header, a context's rows, then META."""
+    """`model_to_text` as blocks of whole lines: the marker, a section
+    header, a context's rows, then META."""
+    if not model._transition_counts:
+        raise TaggingError(
+            "this model has no counts (it was loaded from a v1 file or built from rows), "
+            "and only a counts model can be written"
+        )
     order = _row_names().order
     yield COUNTS_MARKER + "\n"
     for section, rows, outcome_key in (
@@ -360,11 +346,10 @@ def _counts_blocks(model: HmmModel) -> Iterator[str]:
 
 
 def save_model(model: HmmModel, path: str | Path):
-    """Write a counts file, or v1 probability rows for a model that has
-    no counts (one loaded from a v1 file or built from rows)."""
-    blocks = _counts_blocks(model) if model._transition_counts else _v1_blocks(model)
+    """Write a model's counts file, as `model_to_text` gives it.  A model
+    without counts raises a `TaggingError`."""
     # Encoded a block at a time, so the whole text is never held as a str
     # beside its bytes; encoded before the file is opened, so a failure
     # leaves it untouched.
-    data = b"".join([block.encode("utf-8") for block in blocks])
+    data = b"".join([block.encode("utf-8") for block in _counts_blocks(model)])
     Path(path).write_bytes(data)

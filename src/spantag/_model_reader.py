@@ -1,6 +1,7 @@
 """Reading model files: a counts file, or v1 probability rows, checked.
 
-`load_model` and `model_from_text` read what `_model`'s writers write.
+`load_model` and `model_from_text` read what `_model`'s writer writes, a
+counts file, and the older v1 files, which nothing writes any more.
 A counts file in `save_model`'s own layout is read a section at a time
 (`_sections`), which reports no fault and numbers no line: it leaves any
 other file, and any file with a faulty row, to the row scanner

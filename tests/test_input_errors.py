@@ -25,10 +25,11 @@ from spantag.errors import (
     split_lines,
 )
 from spantag.lexicon import load_lexicon
-from spantag.tagger import load_model, model_to_counts_text, model_to_text, train
+from spantag.tagger import load_model, model_to_text, train
 from spantag.tokenizer import load_abbreviations, load_multiwords
 
 from conftest import sentence
+from v1_writer import v1_text
 
 TEXT = "La Sra. mesa, sin embargo, come bien.\n¿Dónde está la mano grande?\n"
 
@@ -81,19 +82,19 @@ CASES = {
                  "expected exactly one tab per line"),
     "vertical-tag": ("vertical", "# gold\nla\tARTDFS\nmesa\tNCFZ\n", 3, UnknownTag,
                      "unknown tag 'NCFZ'"),
-    "v1-context": ("model", *edited_model(model_to_text, "context"), ModelFormatError,
+    "v1-context": ("model", *edited_model(v1_text, "context"), ModelFormatError,
                    "transition context 'BOGUS' is neither <s> nor a registry tag"),
-    "v1-repeated-row": ("model", *edited_model(model_to_text, "repeat"), ModelFormatError,
+    "v1-repeated-row": ("model", *edited_model(v1_text, "repeat"), ModelFormatError,
                         "second TRANSITIONS row for '<s>' "),
-    "counts-count": ("model", *edited_model(model_to_counts_text, "count"), ModelFormatError,
+    "counts-count": ("model", *edited_model(model_to_text, "count"), ModelFormatError,
                      "count 'x' is not a positive integer"),
-    "counts-context": ("model", *edited_model(model_to_counts_text, "context"), ModelFormatError,
+    "counts-context": ("model", *edited_model(model_to_text, "context"), ModelFormatError,
                        "transition context 'BOGUS' is neither <s> nor a registry tag"),
-    "counts-repeated-row": ("model", *edited_model(model_to_counts_text, "repeat"),
+    "counts-repeated-row": ("model", *edited_model(model_to_text, "repeat"),
                             ModelFormatError, "second TRANSITIONS row for '<s>' "),
-    "v1-repeated-meta": ("model", *edited_model(model_to_text, "meta"), ModelFormatError,
+    "v1-repeated-meta": ("model", *edited_model(v1_text, "meta"), ModelFormatError,
                          "second META row for 'kt'"),
-    "counts-repeated-meta": ("model", *edited_model(model_to_counts_text, "meta"),
+    "counts-repeated-meta": ("model", *edited_model(model_to_text, "meta"),
                              ModelFormatError, "second META row for 'kt'"),
     "abbreviations": ("abbreviations", "# mine\nSra.\netc\n", 3, TaggingError,
                       "abbreviation 'etc' is not one word followed by '.'"),
@@ -126,7 +127,7 @@ def test_cli_reports_file_and_line_and_exits_2(tmp_path, capsys, case):
     kind, path, _line, _error, report = case_file(tmp_path, case)
     src, model = tmp_path / "in.txt", tmp_path / "toy.model"
     src.write_text(TEXT, encoding="utf-8")
-    model.write_text(model_to_counts_text(toy_model()), encoding="utf-8")
+    model.write_text(model_to_text(toy_model()), encoding="utf-8")
     assert main(LOADERS[kind][1](str(path), str(src), str(model))) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -165,7 +166,7 @@ def test_a_lone_carriage_return_does_not_end_a_line(tmp_path):
     assert err.value.line == 1
 
 
-@pytest.mark.parametrize("writer", [model_to_counts_text, model_to_text])
+@pytest.mark.parametrize("writer", [model_to_text, v1_text], ids=["counts", "v1"])
 def test_crlf_files_give_the_same_output(tmp_path, capsys, writer):
     """Every input file with CRLF line ends reads as its LF copy."""
     files = {
@@ -319,7 +320,7 @@ def test_a_bad_byte_in_a_whole_input_reads_as_the_reference(
     positions of `reference_decode`, and the commands write nothing."""
     monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
     path, model = tmp_path / "bad.txt", tmp_path / "toy.model"
-    model.write_text(model_to_counts_text(toy_model()), encoding="utf-8")
+    model.write_text(model_to_text(toy_model()), encoding="utf-8")
     argv = {"tokenize -": ["tokenize", "-"], "tag -": ["tag", "-", "--model", str(model)]}
     for data in bad_inputs(chunk):
         name = str(path) if source == "read_utf8" else "standard input"

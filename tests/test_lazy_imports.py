@@ -148,8 +148,7 @@ def test_public_names_are_the_modules_objects():
 # The names `tagger`, `tagset` and `tokenizer` take from `_model`,
 # `_model_reader` and `_core`.
 MODEL_NAMES = (
-    "COUNTS_MARKER", "END", "START", "UNKNOWN", "HmmModel", "model_to_counts_text",
-    "model_to_text", "save_model", "train",
+    "COUNTS_MARKER", "END", "START", "UNKNOWN", "HmmModel", "model_to_text", "save_model", "train",
 )
 READER_NAMES = ("load_model", "model_from_text")
 TABLE_NAMES = ("REGISTRY_SIZE", "Tag", "TableColumns", "_TAGS", "parse_tag", "table_columns")

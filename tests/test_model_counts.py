@@ -20,7 +20,6 @@ from spantag.tagger import (
     HmmModel,
     load_model,
     model_from_text,
-    model_to_counts_text,
     model_to_text,
     save_model,
     tag_text,
@@ -29,6 +28,7 @@ from spantag.tagger import (
 from spantag.tagset import load_registry
 
 from conftest import sentence
+from v1_writer import v1_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import synth  # noqa: E402
@@ -79,7 +79,7 @@ def test_train_reads_any_iterable_as_its_list(toy_corpus, seed):
     for sentences in (iter(corpus), (s for s in corpus), tuple(corpus)):
         streamed = train(sentences, kt=0.3, ke=0.07, corpus_name="toy")
         assert_same_model(streamed, model)
-        assert model_to_counts_text(streamed) == model_to_counts_text(model)
+        assert model_to_text(streamed) == model_to_text(model)
 
 
 def test_saved_model_holds_one_row_per_seen_pair(tmp_path):
@@ -98,7 +98,7 @@ def test_v1_file_still_loads_and_tags_alike(tmp_path):
         sentence(("la", "ARTDFS"), ("mesa", "NCFS"), (".", ".")),
     ])
     v1_path, counts_path = tmp_path / "v1.model", tmp_path / "counts.model"
-    v1_path.write_text(model_to_text(model), encoding="utf-8")
+    v1_path.write_text(v1_text(model), encoding="utf-8")
     save_model(model, counts_path)
     from_v1, from_counts = load_model(v1_path), load_model(counts_path)
     assert from_v1.transition_counts == {}
@@ -110,24 +110,22 @@ def test_v1_file_still_loads_and_tags_alike(tmp_path):
     assert tagged(from_v1) == tagged(from_counts) == tagged(model)
 
 
-def test_v1_resave_moves_at_most_a_last_digit(tmp_path):
+def test_v1_writer_fixture_writes_v1(toy_corpus):
+    """Every test that wants v1 text gets it from `v1_text`, and so feeds
+    the v1 reader, not the counts reader."""
+    text = v1_text(train(toy_corpus))
+    assert text.startswith("TRANSITIONS\n")
+    assert COUNTS_MARKER not in text.splitlines()
+    assert model_from_text(text).transition_counts == {}
+
+
+def test_v1_file_of_a_long_sentence_model_tags_alike(tmp_path):
     """A v1 file holds log10 of each probability and the loader takes 10 to
     that power, which can move a float slightly.  On long-sentence seed 2
-    the first load and save changes the last digit of two log-probabilities
-    (of 106,607 lines); the second save is then a fixed point, and every
-    one of these models tags alike."""
+    the model loaded from v1 still tags as the trained one does."""
     wl = synth.generate("long-sentence", 2)
     trained = train(parse_vertical(wl.files["gold.vrt"]).sentences)
-    first = model_to_text(trained)
-    loaded = model_from_text(first)
-    second = model_to_text(loaded)
-    resaved = model_from_text(second)
-    assert model_to_text(resaved) == second
-    first_lines, second_lines = first.split("\n"), second.split("\n")
-    assert len(first_lines) == len(second_lines)
-    moved = [(a, b) for a, b in zip(first_lines, second_lines) if a != b]
-    assert len(moved) <= 2
-    assert all(a[:-1] == b[:-1] and a[-1].isdigit() and b[-1].isdigit() for a, b in moved)
+    loaded = model_from_text(v1_text(trained))
 
     (tmp_path / "abbrev.txt").write_text(wl.files["abbrev.txt"], encoding="utf-8")
     lexicon, ruleset = parse_lexicon(wl.files["lexicon.tsv"]), parse_rules(wl.files["rules.txt"])
@@ -138,25 +136,30 @@ def test_v1_resave_moves_at_most_a_last_digit(tmp_path):
                              multiwords=wl.multiwords)
         return format_vertical(VerticalDocument(sentences=sentences))
 
-    assert tagged(loaded) == tagged(resaved) == tagged(trained)
+    assert tagged(loaded) == tagged(trained)
 
 
-def test_save_model_from_rows_writes_v1(toy_corpus, tmp_path):
+def test_a_model_without_counts_cannot_be_written(toy_corpus, tmp_path):
+    """v1 is read only: `model_to_text` and `save_model` refuse a model
+    built from rows or loaded from a v1 file, before any file is opened,
+    so a file already at the target keeps its bytes."""
     trained = train(toy_corpus)
-    model = HmmModel(
+    from_rows = HmmModel(
         transitions=trained.transitions, emissions=trained.emissions,
         tag_counts=trained.tag_counts, vocab=trained.vocab, kt=trained.kt, ke=trained.ke,
     )
-    path = tmp_path / "rows.model"
-    save_model(model, path)
-    text = path.read_text(encoding="utf-8")
-    assert text == model_to_text(model)
-    loaded = load_model(path)
-    assert loaded.tag_counts == trained.tag_counts
-    for context, row in trained.transitions.items():
-        assert loaded.transitions[context] == pytest.approx(row, rel=1e-12)
-    save_model(loaded, path)  # a model loaded from v1 has no counts either
-    assert path.read_text(encoding="utf-8") == text
+    from_v1 = model_from_text(v1_text(trained))
+    earlier, missing = tmp_path / "earlier.model", tmp_path / "missing.model"
+    save_model(trained, earlier)
+    data = earlier.read_bytes()
+    for model in (from_rows, from_v1):
+        with pytest.raises(TaggingError, match="no counts"):
+            model_to_text(model)
+        for path in (earlier, missing):
+            with pytest.raises(TaggingError, match="no counts"):
+                save_model(model, path)
+    assert earlier.read_bytes() == data
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -200,7 +203,7 @@ def test_train_rejects_the_unknown_symbol_as_a_form():
 #  8 NCFS ADJGFS 1     16 corpus
 
 def toy_counts_lines(toy_corpus):
-    lines = model_to_counts_text(train(toy_corpus)).splitlines()
+    lines = model_to_text(train(toy_corpus)).splitlines()
     assert lines[5] == "ARTDFS\tNCFS\t3" and lines[22] == "count.NCFS\t3"
     return lines
 
@@ -316,7 +319,7 @@ def test_a_file_without_a_section_header_says_so(tmp_path, capsys, case):
 
 
 def test_v1_file_keeps_a_zero_meta_count(toy_corpus):
-    lines = model_to_text(train(toy_corpus)).splitlines()
+    lines = v1_text(train(toy_corpus)).splitlines()
     lines.insert(lines.index("count.ARTDFS\t3"), "count.ADVN\t0")
     assert model_from_text("\n".join(lines) + "\n").tag_counts["ADVN"] == 0
 
@@ -328,7 +331,7 @@ def test_counts_loader_requires_kt(toy_corpus):
         model_from_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
+@pytest.mark.parametrize("writer", [model_to_text, v1_text], ids=["counts", "v1"])
 def test_huge_meta_count_rejected(toy_corpus, writer):
     """A count too large to turn into a float is a format error in either
     format, not an OverflowError."""
@@ -376,7 +379,7 @@ def mutate(rng, lines):
 def test_counts_loader_fuzz_fails_only_with_format_errors():
     rng = random.Random(7)
     model = train(random_corpus(random.Random(8), n_sentences=12))
-    lines = model_to_counts_text(model).splitlines()
+    lines = model_to_text(model).splitlines()
     loaded = rejected = 0
     for _ in range(600):
         text = "\n".join(mutate(rng, lines)) + "\n"
@@ -386,7 +389,7 @@ def test_counts_loader_fuzz_fails_only_with_format_errors():
             rejected += 1
             continue
         loaded += 1
-        assert_same_model(model_from_text(model_to_counts_text(reloaded)), reloaded)
+        assert_same_model(model_from_text(model_to_text(reloaded)), reloaded)
     assert loaded > 20 and rejected > 300
 
 
@@ -419,7 +422,7 @@ def scan_case(lines, case):
 @pytest.mark.parametrize("case", [
     "data-before-header", "meta-one-cell", "meta-three-cells", "row-two-cells", "row-four-cells",
 ])
-@pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
+@pytest.mark.parametrize("writer", [model_to_text, v1_text], ids=["counts", "v1"])
 def test_section_scan_rejects_bad_layout(toy_corpus, writer, case):
     """Both formats go through one scan: the same error at the same line."""
     edited, error_line, message = scan_case(writer(train(toy_corpus)).splitlines(), case)
@@ -428,7 +431,7 @@ def test_section_scan_rejects_bad_layout(toy_corpus, writer, case):
     assert err.value.line == error_line
 
 
-@pytest.mark.parametrize("writer", [model_to_text, model_to_counts_text])
+@pytest.mark.parametrize("writer", [model_to_text, v1_text], ids=["counts", "v1"])
 def test_section_scan_skips_blank_lines(toy_corpus, writer):
     lines = writer(train(toy_corpus, corpus_name="toy")).splitlines()
     spaced = [lines[0]] + [part for line in lines[1:] for part in ("", " \t", " \t \t ", line)]
@@ -439,7 +442,7 @@ def test_section_scan_skips_blank_lines(toy_corpus, writer):
 def test_v1_loader_fuzz_fails_only_with_format_errors():
     """Single-line edits of a v1 file either load or raise ModelFormatError."""
     rng = random.Random(9)
-    lines = model_to_text(train(random_corpus(random.Random(10), n_sentences=3))).splitlines()
+    lines = v1_text(train(random_corpus(random.Random(10), n_sentences=3))).splitlines()
     rejected = 0
     for _ in range(300):
         try:
@@ -480,7 +483,7 @@ def test_counts_loader_rejects_a_constant_that_overflows(toy_corpus, constant):
 
 def test_large_constants_that_do_not_overflow_still_train(toy_corpus):
     model = train(toy_corpus, kt=1e300, ke=1e300)
-    assert_same_model(model_from_text(model_to_counts_text(model)), model)
+    assert_same_model(model_from_text(model_to_text(model)), model)
     assert math.isclose(model.prior("NCFS"), 1 / len(load_registry()))
 
 
@@ -491,7 +494,7 @@ def test_unstorable_corpus_name_is_rejected(toy_corpus, tmp_path, name):
     path = tmp_path / "toy.model"
     path.write_text("earlier model\n", encoding="utf-8")
     model = train(toy_corpus, corpus_name=name)
-    for writer in (model_to_text, model_to_counts_text):
+    for writer in (model_to_text, v1_text):
         with pytest.raises(TaggingError, match="corpus name"):
             writer(model)
     with pytest.raises(TaggingError, match="corpus name"):
@@ -504,7 +507,7 @@ def test_corpus_name_with_other_line_breaks_round_trips(toy_corpus, name):
     """Only LF ends a model file line, so other `str.splitlines` breaks
     are stored and read back, in both formats."""
     model = train(toy_corpus, corpus_name=name)
-    for writer in (model_to_text, model_to_counts_text):
+    for writer in (model_to_text, v1_text):
         assert model_from_text(writer(model)).corpus_name == name
 
 
@@ -545,8 +548,8 @@ def test_full_rows_come_back_unchanged(shape):
         assert [(c, list(row.items())) for c, row in got.items()] == [
             (c, list(row.items())) for c, row in want.items()
         ]
-    text = model_to_text(model)
-    assert model_to_text(model_from_text(text)) == text
+    text = v1_text(model)
+    assert v1_text(model_from_text(text)) == text
 
 
 @pytest.mark.parametrize("source", ["trained", "full-rows"])

@@ -17,7 +17,7 @@ import pytest
 
 from spantag import _model_reader, corpus_io
 from spantag.errors import ModelFormatError
-from spantag.tagger import model_from_text, model_to_counts_text, save_model, train
+from spantag.tagger import model_from_text, model_to_text, save_model, train
 
 from test_model_counts import BAD_LINES, toy_counts_lines
 from test_reader_mutations import FORMATS, MODEL, MUTANTS, SEED, mutate
@@ -25,7 +25,7 @@ from test_reader_mutations import FORMATS, MODEL, MUTANTS, SEED, mutate
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import synth  # noqa: E402
 
-TEXT = model_to_counts_text(MODEL)
+TEXT = model_to_text(MODEL)
 
 
 def edit(old: str, new: str):
@@ -165,13 +165,13 @@ def test_every_counts_mutant_ends_as_through_the_row_scanner(tmp_path, monkeypat
 @pytest.mark.parametrize("workload", ["news-stream", "long-sentence"])
 def test_bench_models_are_read_a_section_at_a_time(workload, seed, monkeypatch):
     gold = synth.generate(workload, seed).files["gold.vrt"]
-    text = model_to_counts_text(train(corpus_io.parse_vertical(gold).sentences))
+    text = model_to_text(train(corpus_io.parse_vertical(gold).sentences))
 
     def no_row_scan(*_args):
         raise AssertionError("the row scanner ran")
 
     monkeypatch.setattr(_model_reader, "_data_rows", no_row_scan)
-    assert model_to_counts_text(model_from_text(text)) == text
+    assert model_to_text(model_from_text(text)) == text
 
 
 def test_the_row_scanner_runs_on_a_layout_file_only_when_it_fails(toy_corpus, monkeypatch):
@@ -188,7 +188,7 @@ def test_the_row_scanner_runs_on_a_layout_file_only_when_it_fails(toy_corpus, mo
 
     monkeypatch.setattr(_model_reader, "_data_rows", counted)
     gold = synth.generate("news-stream", 1).files["gold.vrt"]
-    for text in (TEXT, model_to_counts_text(train(corpus_io.parse_vertical(gold).sentences))):
+    for text in (TEXT, model_to_text(train(corpus_io.parse_vertical(gold).sentences))):
         model_from_text(text)
     assert calls == []
     for name in ("incoming-not-emitted", "emitted-not-count"):

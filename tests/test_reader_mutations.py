@@ -4,8 +4,9 @@ Seeded mutants of a valid counts model, v1 model, lexicon, rules file and
 vertical corpus (strict and lenient): lines dropped, duplicated or
 swapped, and cells replaced or added with tokens that broke readers
 before.  Each mutant must either load or raise `TaggingError`, and what
-loads must work: a model tags and re-saves, a lexicon or rule set tags,
-and a corpus formats and trains.  The mutants depend only on the seed.
+loads must work: a counts model tags and re-saves, a v1 model tags and
+its save is refused, a lexicon or rule set tags, and a corpus formats
+and trains.  The mutants depend only on the seed.
 """
 
 import random
@@ -16,9 +17,9 @@ from spantag.bias import parse_rules
 from spantag.corpus_io import format_vertical, parse_vertical
 from spantag.errors import TaggingError
 from spantag.lexicon import parse_lexicon
-from spantag.tagger import (
-    load_model, model_from_text, model_to_counts_text, model_to_text, save_model, tag_text, train,
-)
+from spantag.tagger import load_model, model_from_text, model_to_text, save_model, tag_text, train
+
+from v1_writer import v1_text
 
 SEED = 1
 MUTANTS = 400  # per format
@@ -71,6 +72,13 @@ def use_model(model, tmp_path):
     tag_text(load_model(tmp_path / "resaved.model"), LEX, RULESET, TEXT)
 
 
+def use_v1_model(model, tmp_path):
+    """A model read from v1 tags, and saving it is refused: v1 is read only."""
+    tag_text(model, LEX, RULESET, TEXT)
+    with pytest.raises(TaggingError, match="no counts"):
+        save_model(model, tmp_path / "resaved.model")
+
+
 def use_corpus(doc, _tmp_path):
     format_vertical(doc)
     try:  # training may refuse a corpus, as with no sentence or an `<unk>` form
@@ -81,8 +89,8 @@ def use_corpus(doc, _tmp_path):
 
 FORMATS = {
     # name: (valid text, cell separator, reader, what an accepted input must do)
-    "counts model": (model_to_counts_text(MODEL), "\t", model_from_text, use_model),
-    "v1 model": (model_to_text(MODEL), "\t", model_from_text, use_model),
+    "counts model": (model_to_text(MODEL), "\t", model_from_text, use_model),
+    "v1 model": (v1_text(MODEL), "\t", model_from_text, use_v1_model),
     "lexicon": (LEXICON, "\t", parse_lexicon, lambda lex, _: tag_text(MODEL, lex, RULESET, TEXT)),
     "rules": (RULES, " ", parse_rules, lambda rules, _: tag_text(MODEL, LEX, rules, TEXT)),
     "strict vertical": (GOLD, "\t", lambda text: parse_vertical(text, strict=True), use_corpus),

@@ -24,7 +24,6 @@ from spantag.tagger import (
     emission_scores,
     load_model,
     model_from_text,
-    model_to_text,
     prepare_sentence,
     save_model,
     tag_text,
@@ -35,6 +34,7 @@ from spantag.tagset import load_registry, parse_tag
 from spantag.tokenizer import KIND_NUMBER, KIND_PUNCTUATION, KIND_WORD, Token
 
 from conftest import make_token, sentence
+from v1_writer import v1_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import synth  # noqa: E402
@@ -122,7 +122,7 @@ def test_model_roundtrip(toy_corpus, tmp_path):
 
 
 def test_model_text_sections(toy_corpus):
-    text = model_to_text(train(toy_corpus))
+    text = v1_text(train(toy_corpus))
     lines = text.splitlines()
     assert lines[0] == "TRANSITIONS"
     assert "EMISSIONS" in lines
@@ -133,7 +133,7 @@ def test_model_text_sections(toy_corpus):
 
 def test_model_load_rejects_denormalized(toy_corpus, tmp_path):
     model = train(toy_corpus)
-    text = model_to_text(model)
+    text = v1_text(model)
     lines = text.splitlines()
     # double one stored probability: its row no longer sums to 1
     for i, line in enumerate(lines):
@@ -157,7 +157,7 @@ def _replace_line(text, prefix, replacement):
 
 @pytest.mark.parametrize("logp", ["nan", "400"])
 def test_model_load_rejects_nan_and_overflowing_logp(toy_corpus, logp):
-    text = model_to_text(train(toy_corpus))
+    text = v1_text(train(toy_corpus))
     bad, line_no = _replace_line(text, "ARTDFS\tNCFS\t", "ARTDFS\tNCFS\t" + logp)
     with pytest.raises(ModelFormatError) as err:
         model_from_text(bad)
@@ -183,7 +183,7 @@ def test_model_load_rejects_minus_inf_in_normalized_row(toy_corpus):
     model = train(toy_corpus)
     row = model.transitions["ARTDFS"]
     moved = repr(math.log10(row["NCFS"] + row["NCMS"]))
-    text, _ = _replace_line(model_to_text(model), "ARTDFS\tNCFS\t", "ARTDFS\tNCFS\t" + moved)
+    text, _ = _replace_line(v1_text(model), "ARTDFS\tNCFS\t", "ARTDFS\tNCFS\t" + moved)
     bad, line_no = _replace_line(text, "ARTDFS\tNCMS\t", "ARTDFS\tNCMS\t-inf")
     with pytest.raises(ModelFormatError) as err:
         model_from_text(bad)
@@ -195,7 +195,7 @@ def test_model_load_rejects_minus_inf_in_normalized_row(toy_corpus):
     ("kt", "x"), ("ke", "nan"), ("kt", "0"),
 ])
 def test_model_load_rejects_bad_meta_values(toy_corpus, key, value):
-    bad, line_no = _replace_line(model_to_text(train(toy_corpus)), f"{key}\t", f"{key}\t{value}")
+    bad, line_no = _replace_line(v1_text(train(toy_corpus)), f"{key}\t", f"{key}\t{value}")
     with pytest.raises(ModelFormatError) as err:
         model_from_text(bad)
     assert err.value.line == line_no
