@@ -1,8 +1,14 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from spantag.tagset import parse_tag
 from spantag.tagger import TaggedSentence
 from spantag.tokenizer import KIND_PUNCTUATION, KIND_WORD, Token
+
+# Many tests read the benchmark's seeded inputs: `import synth`.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 def make_token(surface, kind=None, span=(0, 0)):

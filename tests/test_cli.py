@@ -14,8 +14,7 @@ from spantag import corpus_io, tagger, tagset
 from spantag.cli import main
 from spantag.tagset import REGISTRY_SIZE, export_tsv, list_by
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 GOLD = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nla\tARTDFS\nmano\tNCFS\n.\t.\n\n"
 

@@ -1,10 +1,8 @@
 """Vertical format reading/writing and evaluation."""
 
 import random
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +25,7 @@ from spantag.tagger import TaggedSentence
 from spantag.tagset import Tag, parse_tag
 from spantag.tokenizer import KIND_PUNCTUATION, KIND_WORD, Token
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 TWO_SENTENCES = "la\tARTDFS\nmesa\tNCFS\n.\t.\n\nel\tARTDMS\nlibro\tNCMS\n.\t.\n\n"
 

@@ -2,8 +2,6 @@
 
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -29,9 +27,7 @@ from spantag.tagset import load_registry
 
 from conftest import sentence
 from v1_writer import v1_text
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 TAG_POOL = ("ARTDFS", "NCFS", "NCMP", "ADJGFS", "VLPI3S", "PREP", "CC", "ADVN", ".", ",")
 

@@ -22,7 +22,6 @@ from spantag.tagger import model_from_text, model_to_text, save_model, train
 from test_model_counts import BAD_LINES, toy_counts_lines
 from test_reader_mutations import FORMATS, MODEL, MUTANTS, SEED, mutate
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import synth  # noqa: E402
 
 TEXT = model_to_text(MODEL)

@@ -1,9 +1,7 @@
 """What a lenient stand-in means to each reader of a corpus, and `eval`
 reading gold and pred in step."""
 
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -11,9 +9,8 @@ from spantag.corpus_io import (
     evaluate, evaluate_sentences, iter_vertical, read_vertical, runs,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
-from test_corpus_io import _lenient_copy  # noqa: E402
+import synth
+from test_corpus_io import _lenient_copy
 
 
 def reference_runs(sentence, stand_ins):

@@ -6,9 +6,7 @@ than the input."""
 import gc
 import itertools
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -20,9 +18,7 @@ from spantag.tagger import END, START, iter_tagged, load_model, save_model, tag_
 from spantag.tagset import table_columns
 
 from conftest import sentence
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 MULTIWORDS = ("sin embargo", "a pesar de", "por lo tanto", "de repente")
 ABBREVIATIONS = tok.default_abbreviations() | {"etc."}

@@ -2,8 +2,6 @@
 a pipeline that resolves every token afresh, and keep nothing afterwards."""
 
 import copy
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,9 +15,7 @@ from spantag.tagger import (
 )
 
 from conftest import sentence
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 
 def reference_prepare(sentence_tokens, model, lexicon, enclitic_split=True):

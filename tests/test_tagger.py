@@ -3,9 +3,7 @@
 import itertools
 import math
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,9 +33,7 @@ from spantag.tokenizer import KIND_NUMBER, KIND_PUNCTUATION, KIND_WORD, Token
 
 from conftest import make_token, sentence
 from v1_writer import v1_text
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 
 # ---------------------------------------------------------------- training

@@ -1,9 +1,7 @@
 """Tokenization, splitting and sentence segmentation tests."""
 
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -35,8 +33,7 @@ from spantag.tokenizer import (
     tokenize,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import synth  # noqa: E402
+import synth
 
 
 def word(surface):

@@ -2,12 +2,11 @@
 
 `save_model` and `model_to_text` write counts only, but v1 files (full
 log10 probability rows, no ``COUNTS`` line) must still load.  Tests and
-CI that need v1 text write it here, with the writer as it last stood in
-`_model`, so that they keep feeding the v1 reader and do not follow the
-counts writer.  It reads only a model's public attributes and
-`table_columns()`, and imports no test framework, so that a script can
-use it too: ``sys.path.insert(0, "tests")`` then ``from v1_writer import
-v1_text``.
+`ci_checks.py` that need v1 text write it here, with the writer as it
+last stood in `_model`, so that they keep feeding the v1 reader and do
+not follow the counts writer.  It reads only a model's public attributes
+and `table_columns()`, and imports no test framework, so that
+`ci_checks.py`, which runs without pytest, can use it too.
 """
 
 from __future__ import annotations
