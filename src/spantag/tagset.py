@@ -105,29 +105,16 @@ class RegistryEntry:
 
 
 # (bundle field, table column, external attribute name, allowed values) of
-# each feature column, in the table's order (`_core._FEATURE_COLUMNS`);
-# None allows any text (subcategory is free-form per category).
+# each feature column, in the table's order (`_core._FEATURE_COLUMNS`),
+# which is also the order of `FeatureBundle`'s fields.  An external name
+# is its field's name with dashes; None allows any text (subcategory is
+# free-form per category).
 _FEATURE_SPEC = tuple(
-    (field_name, column, ext, allowed)
-    for column, (field_name, ext, allowed) in zip(_FEATURE_COLUMNS, (
-        ("category", "category", CATEGORIES),
-        ("subcategory", "subcategory", None),
-        ("gender", "gender", GENDERS),
-        ("number", "number", NUMBERS),
-        ("person", "person", PERSONS),
-        ("degree", "degree", DEGREES),
-        ("verb_class", "verb-class", VERB_CLASSES),
-        ("tense", "tense", TENSES),
-        ("mood", "mood", MOODS),
-        ("deixis", "deixis", DEIXES),
-        ("directionality", "directionality", DIRECTIONALITIES),
-        ("polarity", "polarity", POLARITIES),
-        ("pronominal_function", "pronominal-function", PRONOMINAL_FUNCTIONS),
-        ("animacy", "animacy", ANIMACIES),
-        ("case_role", "case-role", CASE_ROLES),
-        ("politeness", "politeness", POLITENESS_VALUES),
-        ("existential", "existential", frozenset({False, True})),
-        ("possessive_position", "possessive-position", POSSESSIVE_POSITIONS),
+    (field.name, column, field.name.replace("_", "-"), allowed)
+    for field, column, allowed in zip(fields(FeatureBundle), _FEATURE_COLUMNS, (
+        CATEGORIES, None, GENDERS, NUMBERS, PERSONS, DEGREES, VERB_CLASSES, TENSES, MOODS,
+        DEIXES, DIRECTIONALITIES, POLARITIES, PRONOMINAL_FUNCTIONS, ANIMACIES, CASE_ROLES,
+        POLITENESS_VALUES, frozenset({False, True}), POSSESSIVE_POSITIONS,
     ), strict=True)
 )
 

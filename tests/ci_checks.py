@@ -2,13 +2,12 @@
 
 ``python3 tests/ci_checks.py [NAME...]`` runs the named checks, or all of
 `CHECKS`, in a scratch directory; it needs no pytest and no installed
-spantag.  Each check prints what it measured, then ``NAME: ok`` or
-``NAME: FAILED ...``.  Exit 1 when a check failed, 2 for an unknown name.
+spantag, as it puts ``src/`` and ``bench/`` on its path itself.  Each
+check prints what it measured, then ``NAME: ok`` or ``NAME: FAILED ...``.
+Exit 1 when a check failed, 2 for an unknown name.
 
-This process imports no spantag: everything that runs it runs in a child
-(`in_child` runs the functions named with a leading ``_``).  On Linux a
-child starts from its parent's peak RSS, and a process that generated a
-workload peaks near 22 MiB, above `spantag tag`; `peak_kib` fails on that.
+A peak RSS is the CLI child's own VmHWM, which it writes at exit under
+`bench/run.py`'s `CLI_WRAPPER`, so it does not depend on this process.
 """
 
 from __future__ import annotations
@@ -22,10 +21,20 @@ import re
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS, BENCH = ROOT / "tests", ROOT / "bench"
+BENCH = ROOT / "bench"
+sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
+
+import synth  # noqa: E402
+from run import CLI_WRAPPER, write_inputs  # noqa: E402
+from spantag import _model_reader, corpus_io, tagger, tokenizer  # noqa: E402
+from spantag.errors import TaggingError  # noqa: E402
+from spantag.tagset import table_columns  # noqa: E402
+from v1_writer import v1_text  # noqa: E402
+
 # Unbuffered, `tagset`'s one large write into a pipe closed early ends short with no error.
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(ROOT / "src")}
 WORKLOADS = ("news-stream", "long-sentence")
@@ -57,18 +66,9 @@ def tag_argv(d: Path, text: str, model: str) -> tuple:
             "--abbrev", d / "abbrev.txt", "--multiwords", d / "multiwords.txt")
 
 
-def in_child(function, *args) -> None:
-    """Run `function(*args)` of this module in a child, from this directory."""
-    code = f"import sys, ci_checks; ci_checks.{function.__name__}(*sys.argv[1:])"
-    run = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=ENV, cwd=TESTS)
-    require(run.returncode == 0, f"{function.__name__} exited {run.returncode}")
-
-
 def write_workload(work: Path, workload: str, seed: int) -> Path:
-    """Write a bench workload's input files into `work` with `bench/synth.py`."""
-    run = subprocess.run([sys.executable, BENCH / "synth.py", "--workload", workload,
-                          "--seed", str(seed), "--out", work], env=ENV)
-    require(run.returncode == 0, f"bench/synth.py {workload} {seed} exited {run.returncode}")
+    """Write a bench workload's input files into `work`, as ``bench/synth.py --out`` does."""
+    write_inputs(synth.generate(workload, seed), work)
     return work
 
 
@@ -85,16 +85,17 @@ def news(work: Path) -> Path:
 
 
 def peak_kib(*argv, exits=(0,)) -> int:
-    """``spantag ARGV``'s peak RSS in KiB: that one child's `ru_maxrss`, read with `wait4`."""
-    floor = int(re.search(r"^VmHWM:\s+(\d+) kB$", Path("/proc/self/status").read_text(), re.M).group(1))
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "spantag.cli", *map(str, argv)], ENV,
-                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
-    _, status, usage = os.wait4(pid, 0)
-    status = os.waitstatus_to_exitcode(status)
-    require(status in exits, f"spantag {argv[0]} exited {status}")
-    require(usage.ru_maxrss > floor, f"spantag {argv[0]} peaked at {usage.ru_maxrss} KiB, not above "
-            f"the {floor} KiB it inherits from this process, so the figure measures nothing")
-    return usage.ru_maxrss
+    """``spantag ARGV``'s peak RSS in KiB, the VmHWM it writes at exit under `CLI_WRAPPER`."""
+    with tempfile.TemporaryDirectory(prefix="spantag-peak-") as tmp:
+        peak = Path(tmp, "peak")
+        run = subprocess.run([sys.executable, "-c", CLI_WRAPPER, peak, *map(str, argv)], env=ENV,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        require(run.returncode in exits, f"spantag {argv[0]} exited {run.returncode}: {run.stderr.decode()!r}")
+        # `validate` may exit 1, as a child does that runs out of the wrapper's address space
+        require(not re.search(rb"Traceback|Exception ignored", run.stderr),
+                f"spantag {argv[0]}: {run.stderr.decode()!r}")
+        require(peak.is_file(), f"spantag {argv[0]} wrote no peak")
+        return int(peak.read_text())
 
 
 def grows_by_at_most(bound_kib: int, what: str, small: tuple, large: tuple, sizes=("1x", "8x"), exits=(0,)):
@@ -118,7 +119,7 @@ def bench_smoke(work: Path) -> None:
         require(result["correct"] is True and result["failed"] == 0, f"{what} is not correct")
 
 
-def _library_legs(work: str, validate_status: str) -> None:
+def library_legs(work: Path, validate_status: int) -> None:
     """The round trip's legs inside the library, on `work`'s files.  Three
     copies leave `save_model`'s layout, so `load_model` reads them row by
     row: each is re-saved, and must hold the registry's own str for every
@@ -127,12 +128,6 @@ def _library_legs(work: str, validate_status: str) -> None:
     without counts, and `save_model` must refuse it and create no file.
     `validate` may report a pair only in a sentence `tag` flagged #FALLBACK,
     and exits 1 exactly when it reports one."""
-    from spantag import _model_reader, corpus_io, tagger
-    from spantag.errors import TaggingError
-    from spantag.tagset import table_columns
-    from v1_writer import v1_text
-
-    work = Path(work)
     trained = tagger.load_model(work / "trained.model")
     tagger.save_model(trained, work / "resaved.model")
     registry = {code: code for code in (*table_columns().codes, tagger.START, tagger.END)}
@@ -181,13 +176,13 @@ def _library_legs(work: str, validate_status: str) -> None:
     reported = {int(line.split(",")[0].removeprefix("sentence ")) for line in lines}
     print(f"{work.name}: validate reports {len(lines)} violation(s) in {len(reported)} sentence(s), "
           f"exit {validate_status}; {len(fallback)} of {len(doc)} sentences are #FALLBACK")
-    require(reported <= fallback and int(validate_status) == (1 if lines else 0),
+    require(reported <= fallback and validate_status == (1 if lines else 0),
             "validate disagrees with the #FALLBACK flags")
 
 
 def round_trip(work: Path, seeds=SEEDS) -> None:
     """A model `spantag train` wrote must come back byte for byte from
-    `load_model` and `save_model`, also from `_library_legs`' copies out of
+    `load_model` and `save_model`, also from `library_legs`' copies out of
     the layout, and tag as before.  Both faulty copies must exit 2 with the
     same message and line, as only the row scanner numbers lines.  The v1
     copy must tag as the counts file does.  Both workloads, at `seeds`."""
@@ -196,7 +191,7 @@ def round_trip(work: Path, seeds=SEEDS) -> None:
         spantag("train", "--corpus", w / "gold.vrt", "--model", w / "trained.model")
         spantag(*tag_argv(w, "input.txt", "trained.model"), out=w / "trained.vrt")
         run = spantag("validate", w / "trained.vrt", "--rules", w / "rules.txt", out=w / "validate.out", exits=(0, 1))
-        in_child(_library_legs, w, run.returncode)
+        library_legs(w, run.returncode)
         for copy in ("resaved", "crlf-resaved", "blank-resaved", "split-resaved"):
             require(filecmp.cmp(w / "trained.model", w / f"{copy}.model", shallow=False), f"{copy}.model differs")
         stripped = [spantag("tag", w / "input.txt", "--model", w / f"{copy}.model", "--lexicon",
@@ -278,15 +273,13 @@ def accent_rss(work: Path) -> None:
     grows_by_at_most(2048, "spantag tag, one accented word with a clitic", *argv, sizes=("2k", "32k"))
 
 
-def _write_sentences(work: str) -> None:
+def write_sentences(work: Path) -> None:
     """Two terminator-free texts of `work`'s input words, about 2k and 16k tokens, then one full stop."""
-    from spantag import tokenizer
-
-    text = Path(work, "input.txt").read_text(encoding="utf-8")
+    text = (work / "input.txt").read_text(encoding="utf-8")
     words = [t.surface for t in tokenizer.tokenize(text) if t.surface not in tokenizer.SENTENCE_TERMINATORS]
     for n in (2000, 16000):
         sentence = " ".join((words * (n // len(words) + 1))[:n - 1]) + " .\n"
-        Path(work, f"sentence-{n}.txt").write_text(sentence, encoding="utf-8")
+        (work / f"sentence-{n}.txt").write_text(sentence, encoding="utf-8")
 
 
 def sentence_rss(work: Path) -> None:
@@ -294,7 +287,7 @@ def sentence_rss(work: Path) -> None:
     terminator-free sentence of long-sentence words, 16k tokens, may cost
     at most 10 MiB more than one of 2k (7.6-8.6 MiB on CPython 3.10-3.13)."""
     w = write_workload(work / "long", "long-sentence", 1)
-    in_child(_write_sentences, w)
+    write_sentences(w)
     spantag("train", "--corpus", w / "gold.vrt", "--model", w / "long.model")
     argv = [("tag", w / f"sentence-{n}.txt", "--model", w / "long.model", "--lexicon", w / "lexicon.tsv",
              "--rules", w / "rules.txt", "--abbrev", w / "abbrev.txt") for n in (2000, 16000)]
@@ -367,6 +360,10 @@ def main(names: list[str]) -> int:
             except CheckFailed as exc:
                 failed += 1
                 print(f"{name}: FAILED: {exc}")
+            except Exception as exc:  # a crash fails its own check only
+                failed += 1
+                traceback.print_exc()
+                print(f"{name}: FAILED: {exc!r}")
     return 1 if failed else 0
 
 

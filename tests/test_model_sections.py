@@ -10,7 +10,6 @@ hold a fault; the bench models must take the section path.
 """
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from spantag.tagger import model_from_text, model_to_text, save_model, train
 from test_model_counts import BAD_LINES, toy_counts_lines
 from test_reader_mutations import FORMATS, MODEL, MUTANTS, SEED, mutate
 
-import synth  # noqa: E402
+import synth
 
 TEXT = model_to_text(MODEL)
 
